@@ -8,6 +8,32 @@
 //! functions advance the position by scanning words forward; no global index
 //! is ever materialized, which is what keeps JSONSki's memory footprint at
 //! the input buffer size (Figure 13).
+//!
+//! # Word access
+//!
+//! [`Cursor::word`] serves a word's bitmaps in one of four ways, the first
+//! three inline:
+//!
+//! 1. **Cached word.** A request for the current word (`idx + 1 ==
+//!    words_classified`) returns the retained bitmaps.
+//! 2. **Prebuilt jump.** With a prebuilt index and no strict validator, a
+//!    request for any later word reads that word's lanes directly; the
+//!    words in between need no work, because prebuilt lanes carry no
+//!    string state.
+//! 3. **Live next word.** Without a validator, a request for the next
+//!    full 64-byte word classifies it in place.
+//! 4. **Slow path** (out of line): everything else — strict mode, the
+//!    zero-padded tail word, a forward skip over live words (whose string
+//!    state must be carried through every word in between), and a rewind.
+//!    It keeps the streaming-violation assert and feeds the strict
+//!    validator every word in classification order.
+//!
+//! The scanning primitives (pairing, next-bit search, the batched
+//! primitive skip and the G1 attribute seek) are written once, generic
+//! over a `Words` source: the cursor itself, or — on a prebuilt cursor
+//! with no validator — the lane slice walked directly (`Lanes`), after
+//! which the cursor accounts the walked words exactly as if each had
+//! passed through [`Cursor::word`].
 
 use simdbits::{bits, BlockBitmaps, Classifier, Kernel, BLOCK};
 
@@ -241,12 +267,7 @@ impl<'a> Cursor<'a> {
     /// Skips JSON whitespace.
     #[inline]
     pub fn skip_ws(&mut self) {
-        while let Some(b) = self.input.get(self.pos) {
-            match b {
-                b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
+        self.pos = after_ws(self.input, self.pos);
     }
 
     /// Skips whitespace, then consumes the expected byte.
@@ -285,7 +306,8 @@ impl<'a> Cursor<'a> {
         self.peek().ok_or(StreamError::UnexpectedEof { expected })
     }
 
-    /// Returns the bitmaps for word `idx`, classifying forward as needed.
+    /// Returns the bitmaps for word `idx`, classifying forward as needed
+    /// (see the module docs for the four ways a word is served).
     ///
     /// # Panics
     ///
@@ -293,6 +315,45 @@ impl<'a> Cursor<'a> {
     /// past the end of the input.
     #[inline]
     pub fn word(&mut self, idx: usize) -> BlockBitmaps {
+        if idx + 1 == self.classified {
+            #[cfg(feature = "metrics")]
+            {
+                self.cache_hits += 1;
+            }
+            return self.cur;
+        }
+        if idx >= self.classified && self.validator.is_none() {
+            if let Some(pre) = self.prebuilt {
+                self.cur = pre[idx];
+                self.classified = idx + 1;
+                return self.cur;
+            }
+            let start = idx * BLOCK;
+            if idx == self.classified && start + BLOCK <= self.input.len() {
+                #[cfg(feature = "metrics")]
+                let t0 = std::time::Instant::now();
+                let block: &[u8; BLOCK] = self.input[start..start + BLOCK]
+                    .try_into()
+                    .expect("exact block");
+                self.cur = self.cls.classify(block);
+                self.classified += 1;
+                #[cfg(feature = "metrics")]
+                {
+                    self.classify_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                }
+                return self.cur;
+            }
+        }
+        self.word_slow(idx);
+        self.cur
+    }
+
+    /// [`Cursor::word`]'s out-of-line path: strict mode, the short tail
+    /// word, forward skips over live words, and rewinds (which panic).
+    /// Leaves word `idx` current; returning nothing keeps the 64-byte
+    /// bitmaps out of the call's return path.
+    #[inline(never)]
+    fn word_slow(&mut self, idx: usize) {
         assert!(
             self.classified == 0 || idx + 1 >= self.classified,
             "word {idx} was already discarded (classified through {})",
@@ -341,7 +402,30 @@ impl<'a> Cursor<'a> {
         if let Some(t0) = t0 {
             self.classify_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
-        self.cur
+    }
+
+    /// The prebuilt lanes, when a scan may walk them directly: only with no
+    /// strict validator, which must see every word, in order, through
+    /// [`Cursor::word`].
+    #[inline]
+    pub(crate) fn lanes(&self) -> Option<Lanes<'a>> {
+        match (self.prebuilt, &self.validator) {
+            (Some(pre), None) => Some(Lanes {
+                pre,
+                reached: self.classified,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Accounts a finished lane walk as if every word it read had passed
+    /// through [`Cursor::word`]: the furthest word becomes the current one.
+    #[inline]
+    pub(crate) fn absorb(&mut self, lanes: Lanes<'a>) {
+        if lanes.reached > self.classified {
+            self.classified = lanes.reached;
+            self.cur = lanes.pre[lanes.reached - 1];
+        }
     }
 
     /// Number of 64-byte words covering the input.
@@ -358,22 +442,8 @@ impl<'a> Cursor<'a> {
         from: usize,
         sel: impl Fn(&BlockBitmaps) -> u64,
     ) -> Option<usize> {
-        if from >= self.input.len() {
-            return None;
-        }
-        let mut w = from / BLOCK;
-        let mut mask = !bits::mask_below((from % BLOCK) as u32);
-        let words = self.word_count();
-        while w < words {
-            let bm = self.word(w);
-            let hits = sel(&bm) & mask;
-            if hits != 0 {
-                return Some(w * BLOCK + hits.trailing_zeros() as usize);
-            }
-            mask = u64::MAX;
-            w += 1;
-        }
-        None
+        let len = self.input.len();
+        with_words!(self, |src| scan(src, from, len, sel, |_| 0).0)
     }
 
     /// Advances to the closing quote of the string opening at `open_pos`
@@ -443,27 +513,16 @@ impl<'a> Cursor<'a> {
         depth: u32,
     ) -> Result<usize, StreamError> {
         debug_assert!(depth > 0);
-        let from = self.pos;
-        if from >= self.input.len() {
-            return Err(StreamError::Unbalanced {
-                pos: self.input.len(),
-            });
-        }
-        let mut w = from / BLOCK;
-        let mut mask = !bits::mask_below((from % BLOCK) as u32);
-        let mut depth = depth;
-        let words = self.word_count();
-        while w < words {
-            let bm = self.word(w);
-            let opens = bm.structural(open) & mask;
-            let closes = bm.structural(close) & mask;
-            if let Some(bit) = find_depth_zero(opens, closes, depth) {
-                self.pos = w * BLOCK + bit as usize;
-                return Ok(self.pos);
-            }
-            depth = depth + opens.count_ones() - closes.count_ones();
-            mask = u64::MAX;
-            w += 1;
+        // Select the lane pair once, so the scan loop reads two lanes per
+        // word with no per-word dispatch.
+        let end = match (open, close) {
+            (b'{', b'}') => self.find_close(depth, BlockBitmaps::braces),
+            (b'[', b']') => self.find_close(depth, BlockBitmaps::brackets),
+            _ => panic!("not a container pair: {:?}", (open as char, close as char)),
+        };
+        if let Some(end) = end {
+            self.pos = end;
+            return Ok(end);
         }
         // Same precedence as `seek_string_end`: a strict-validation error in
         // the scanned span wins over the bare imbalance report.
@@ -474,26 +533,178 @@ impl<'a> Cursor<'a> {
             pos: self.input.len(),
         })
     }
+
+    /// [`find_close`] from the current position over this cursor's words.
+    #[inline]
+    fn find_close(
+        &mut self,
+        depth: u32,
+        pair: impl Fn(&BlockBitmaps) -> (u64, u64),
+    ) -> Option<usize> {
+        let (from, len) = (self.pos, self.input.len());
+        with_words!(self, |src| find_close(src, from, len, depth, pair))
+    }
+}
+
+/// The first non-whitespace position at or after `at` (`input.len()` if
+/// none).
+#[inline]
+pub(crate) fn after_ws(input: &[u8], mut at: usize) -> usize {
+    while matches!(input.get(at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        at += 1;
+    }
+    at
+}
+
+/// A source of word bitmaps for a forward scan. Requests never go back
+/// before the previous request's word.
+pub(crate) trait Words {
+    /// The bitmaps of word `w`.
+    fn word(&mut self, w: usize) -> BlockBitmaps;
+}
+
+impl Words for Cursor<'_> {
+    #[inline]
+    fn word(&mut self, w: usize) -> BlockBitmaps {
+        Cursor::word(self, w)
+    }
+}
+
+/// Prebuilt lanes walked directly, remembering how far the walk reached so
+/// that [`Cursor::absorb`] can account for it afterwards.
+pub(crate) struct Lanes<'a> {
+    pre: &'a [BlockBitmaps],
+    /// One past the furthest word read (the cursor's `words_classified`
+    /// once absorbed).
+    reached: usize,
+}
+
+impl Words for Lanes<'_> {
+    #[inline]
+    fn word(&mut self, w: usize) -> BlockBitmaps {
+        debug_assert!(w + 1 >= self.reached, "lane walk went back to word {w}");
+        self.reached = w + 1;
+        self.pre[w]
+    }
+}
+
+/// Runs `$body` with `$src` bound to the fastest [`Words`] source the
+/// cursor `$cur` allows: its prebuilt lanes walked directly when no
+/// validator needs the words, else the cursor itself. The body is compiled
+/// once per source, and must reach the words only through `$src`.
+macro_rules! with_words {
+    ($cur:expr, |$src:ident| $body:expr) => {
+        match $cur.lanes() {
+            Some(mut lanes) => {
+                let $src = &mut lanes;
+                let out = $body;
+                $cur.absorb(lanes);
+                out
+            }
+            None => {
+                let $src = &mut *$cur;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_words;
+
+/// Scans forward from byte `from` of a `len`-byte input for the first
+/// position whose `stop` bit is set, also counting the `count` bits passed
+/// before it. Returns `(None, _)` at the end of the input; a `from` at or
+/// past the end reads no word at all.
+#[inline]
+pub(crate) fn scan<W: Words>(
+    src: &mut W,
+    from: usize,
+    len: usize,
+    stop: impl Fn(&BlockBitmaps) -> u64,
+    count: impl Fn(&BlockBitmaps) -> u64,
+) -> (Option<usize>, usize) {
+    if from >= len {
+        return (None, 0);
+    }
+    let words = len.div_ceil(BLOCK);
+    let mut w = from / BLOCK;
+    let mut mask = !bits::mask_below((from % BLOCK) as u32);
+    let mut counted = 0usize;
+    while w < words {
+        let bm = src.word(w);
+        let hits = stop(&bm) & mask;
+        if hits != 0 {
+            let bit = hits.trailing_zeros();
+            counted += (count(&bm) & mask & bits::mask_below(bit)).count_ones() as usize;
+            return (Some(w * BLOCK + bit as usize), counted);
+        }
+        counted += (count(&bm) & mask).count_ones() as usize;
+        mask = u64::MAX;
+        w += 1;
+    }
+    (None, counted)
+}
+
+/// Counting-based pairing over a word source: from byte `from` with `depth`
+/// unpaired openers, the position of the closer that brings the depth to
+/// zero. `pair` selects the `(opener, closer)` lanes. `None` when the input
+/// ends first; a `from` at or past the end reads no word.
+#[inline]
+pub(crate) fn find_close<W: Words>(
+    src: &mut W,
+    from: usize,
+    len: usize,
+    depth: u32,
+    pair: impl Fn(&BlockBitmaps) -> (u64, u64),
+) -> Option<usize> {
+    if from >= len {
+        return None;
+    }
+    let words = len.div_ceil(BLOCK);
+    let mut w = from / BLOCK;
+    let mut mask = !bits::mask_below((from % BLOCK) as u32);
+    let mut depth = depth;
+    while w < words {
+        let (opens, closes) = pair(&src.word(w));
+        let (opens, closes) = (opens & mask, closes & mask);
+        if let Some(bit) = find_depth_zero(opens, closes, depth) {
+            return Some(w * BLOCK + bit as usize);
+        }
+        depth = depth + opens.count_ones() - closes.count_ones();
+        mask = u64::MAX;
+        w += 1;
+    }
+    None
 }
 
 /// Finds the first bit position where the running nesting depth (starting at
 /// `depth`, +1 per `opens` bit, −1 per `closes` bit, in position order)
 /// reaches zero, i.e. the word-local formulation of the paper's
-/// counting-based pairing: iterate the closers of the word; the `k`-th
-/// closer at position `p` ends the container iff
-/// `k == depth + popcount(opens below p)`.
+/// counting-based pairing: the `k`-th closer at position `p` ends the
+/// container iff `k == depth + popcount(opens below p)`.
+///
+/// A word with fewer than `depth` closers cannot end the container, so most
+/// words cost one popcount. Otherwise the first `depth - 1` closers are
+/// dropped unexamined (each can pair at most `k < depth`), and each
+/// remaining closer costs one popcount and one compare.
 #[inline]
 pub(crate) fn find_depth_zero(opens: u64, closes: u64, depth: u32) -> Option<u32> {
+    if closes.count_ones() < depth {
+        return None;
+    }
     let mut c = closes;
-    let mut k = 0u32; // closers seen so far
+    for _ in 1..depth {
+        c &= c - 1;
+    }
+    // `j` counts the closers examined beyond the first `depth - 1`: the
+    // closer ends the container iff exactly `j` openers precede it.
+    let mut j = 0u32;
     while c != 0 {
-        let p = c.trailing_zeros();
-        k += 1;
-        let opens_before = (opens & bits::mask_below(p)).count_ones();
-        if k == depth + opens_before {
-            return Some(p);
+        let below = c.wrapping_sub(1) & !c;
+        if (opens & below).count_ones() == j {
+            return Some(c.trailing_zeros());
         }
         c &= c - 1;
+        j += 1;
     }
     None
 }
@@ -651,11 +862,251 @@ mod tests {
     }
 
     #[test]
+    fn find_depth_zero_early_out_and_full_word() {
+        // Fewer closers than the depth: no search.
+        assert_eq!(find_depth_zero(0, 0b111, 4), None);
+        // 64 closers close depth 64 at the last bit.
+        assert_eq!(find_depth_zero(0, u64::MAX, 64), Some(63));
+        // An opener before the depth-th closer defers the end by one.
+        assert_eq!(find_depth_zero(0b001, 0b1110, 2), Some(3));
+    }
+
+    #[test]
+    fn prebuilt_jump_and_lane_walk_keep_words_classified() {
+        let mut v = b"[".to_vec();
+        v.extend(std::iter::repeat_n(b' ', 300));
+        v.extend_from_slice(b"]  ");
+        let mut pre = Vec::new();
+        simdbits::classify_stream(&mut Classifier::new(), &v, |_, bm| pre.push(bm));
+        let mut cur = Cursor::with_prebuilt(&v, &pre, None, ValidationMode::Permissive);
+        assert_eq!(cur.word(3), pre[3]);
+        assert_eq!(cur.words_classified(), 4);
+        let mut live = Cursor::new(&v);
+        assert_eq!(live.word(3), pre[3]);
+        assert_eq!(live.words_classified(), 4);
+        for c in [&mut cur, &mut live] {
+            c.set_pos(200);
+            assert_eq!(c.seek_container_end(b'[', b']', 1), Ok(301));
+            assert_eq!(c.words_classified(), 5);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "discarded")]
     fn rewinding_words_panics() {
         let v = vec![b' '; 300];
         let mut cur = Cursor::new(&v);
         cur.word(3);
         cur.word(1);
+    }
+}
+
+/// Property tests pinning the pairing primitives to scalar models.
+#[cfg(test)]
+mod proptests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// Character-at-a-time depth model of [`find_depth_zero`].
+    fn depth_model(opens: u64, closes: u64, depth: u32) -> Option<u32> {
+        let mut depth = i64::from(depth);
+        for p in 0..64 {
+            if opens >> p & 1 == 1 {
+                depth += 1;
+            } else if closes >> p & 1 == 1 {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(p);
+                }
+            }
+        }
+        None
+    }
+
+    /// A random word of disjoint opener and closer bits, dense or sparse.
+    fn pair_word() -> BoxedStrategy<(u64, u64)> {
+        (any::<u64>(), any::<u64>(), any::<u64>(), 0u32..3)
+            .prop_map(|(a, b, keep, sparsity)| {
+                let keep = match sparsity {
+                    0 => u64::MAX,
+                    1 => keep,
+                    _ => keep & keep.rotate_left(17) & keep.rotate_left(41),
+                };
+                (a & !b & keep, b & !a & keep)
+            })
+            .boxed()
+    }
+
+    /// Byte offset just past the container whose opener is `input[open]`,
+    /// or `None` if it never closes.
+    fn scalar_container_end(input: &[u8], open: usize) -> Option<usize> {
+        let mut depth = 0i64;
+        let mut in_string = false;
+        let mut i = open;
+        while i < input.len() {
+            let b = input[i];
+            if in_string {
+                match b {
+                    b'\\' => i += 1,
+                    b'"' => in_string = false,
+                    _ => {}
+                }
+            } else {
+                match b {
+                    b'"' => in_string = true,
+                    b'{' | b'[' => depth += 1,
+                    b'}' | b']' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            return Some(i + 1);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            i += 1;
+        }
+        None
+    }
+
+    /// Random nested JSON whose strings hold brackets, braces and escapes.
+    fn json_value(depth: u32) -> BoxedStrategy<String> {
+        let string = prop::collection::vec(
+            prop_oneof![
+                Just("x"),
+                Just("{"),
+                Just("}"),
+                Just("["),
+                Just("]"),
+                Just("\\\""),
+                Just("\\\\"),
+                Just(", "),
+            ],
+            0..8,
+        )
+        .prop_map(|parts| format!("\"{}\"", parts.concat()));
+        let scalar = prop_oneof![
+            Just("null".to_string()),
+            (-999i64..999).prop_map(|n| n.to_string()),
+            string,
+        ];
+        scalar
+            .prop_recursive(depth, 64, 6, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 0..6)
+                        .prop_map(|vs| format!("[{}]", vs.join(", "))),
+                    prop::collection::btree_map("[a-d]{1,3}", inner, 0..6).prop_map(|m| {
+                        let fields: Vec<String> = m
+                            .into_iter()
+                            .map(|(k, v)| format!("\"{k}\": {v}"))
+                            .collect();
+                        format!("{{{}}}", fields.join(", "))
+                    }),
+                ]
+            })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn find_depth_zero_matches_depth_model(word in pair_word(), depth in 1u32..70) {
+            let (opens, closes) = word;
+            prop_assert_eq!(
+                find_depth_zero(opens, closes, depth),
+                depth_model(opens, closes, depth),
+                "opens {:#x} closes {:#x} depth {}", opens, closes, depth
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn lane_pairing_matches_depth_model(
+            words in prop::collection::vec(pair_word(), 1..6),
+            from in 0usize..384,
+            depth in 1u32..8,
+            cut in 0usize..64,
+        ) {
+            let len = (words.len() * BLOCK).saturating_sub(cut).max(1);
+            let mut pre: Vec<BlockBitmaps> = words[..len.div_ceil(BLOCK)]
+                .iter()
+                .map(|&(lbrace, rbrace)| BlockBitmaps { lbrace, rbrace, ..Default::default() })
+                .collect();
+            // Like real lanes, the tail word has no bits past the input.
+            let tail = pre.last_mut().expect("at least one word");
+            let keep = bits::mask_below((len - (len - 1) / BLOCK * BLOCK) as u32);
+            tail.lbrace &= keep;
+            tail.rbrace &= keep;
+            let pre = &pre[..];
+            // The model walks the same bits one position at a time.
+            let bit = |lane: fn(&BlockBitmaps) -> u64, p: usize| {
+                lane(&pre[p / BLOCK]) >> (p % BLOCK) & 1 == 1
+            };
+            let mut d = i64::from(depth);
+            let mut want = None;
+            for p in from..len {
+                if bit(|b| b.lbrace, p) {
+                    d += 1;
+                } else if bit(|b| b.rbrace, p) {
+                    d -= 1;
+                    if d == 0 {
+                        want = Some(p);
+                        break;
+                    }
+                }
+            }
+            let mut lanes = Lanes { pre, reached: 0 };
+            let got = find_close(&mut lanes, from, len, depth, BlockBitmaps::braces);
+            prop_assert_eq!(got, want);
+            // The walk reads exactly the words up to the one it stopped in.
+            let reached = match (got, from < len) {
+                (Some(p), _) => p / BLOCK + 1,
+                (None, true) => pre.len(),
+                (None, false) => 0,
+            };
+            prop_assert_eq!(lanes.reached, reached);
+        }
+
+        #[test]
+        fn live_prebuilt_and_strict_pairing_agree(
+            doc in json_value(5),
+            pad in 0usize..130,
+            cut in 0usize..4,
+        ) {
+            // Leading padding moves the container across word boundaries;
+            // a `cut` of 1..=3 truncates it to exercise the imbalance error.
+            let text = format!("{}{doc}  ", " ".repeat(pad));
+            let first = text.as_bytes()[pad];
+            if first != b'{' && first != b'[' {
+                return Ok(());
+            }
+            let len = if cut == 0 { text.len() } else { (pad + 1).max(text.len() - 2 - cut) };
+            let bytes = &text.as_bytes()[..len];
+            let close = if first == b'{' { b'}' } else { b']' };
+            let want = scalar_container_end(bytes, pad)
+                .map(|end| end - 1)
+                .ok_or(StreamError::Unbalanced { pos: len });
+            let mut pre = Vec::new();
+            simdbits::classify_stream(&mut Classifier::new(), bytes, |_, bm| pre.push(bm));
+            let cursors = [
+                ("live", Cursor::new(bytes)),
+                ("prebuilt", Cursor::with_prebuilt(bytes, &pre, None, ValidationMode::Permissive)),
+                ("strict", Cursor::with_options(bytes, None, ValidationMode::Strict)),
+                ("prebuilt strict", Cursor::with_prebuilt(bytes, &pre, None, ValidationMode::Strict)),
+            ];
+            let mut words = None;
+            for (name, mut cur) in cursors {
+                cur.set_pos(pad + 1);
+                let got = cur.seek_container_end(first, close, 1);
+                prop_assert_eq!(&got, &want, "{}: {:?}", name, text);
+                let w = cur.words_classified();
+                prop_assert_eq!(*words.get_or_insert(w), w, "{}: words_classified", name);
+            }
+        }
     }
 }

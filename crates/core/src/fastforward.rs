@@ -11,9 +11,9 @@
 //! end leave the cursor *at* the closing `}`/`]` so the caller can consume
 //! it and emit the automaton transition.
 
-use simdbits::bits;
+use simdbits::BlockBitmaps;
 
-use crate::cursor::Cursor;
+use crate::cursor::{after_ws, find_close, scan, with_words, Cursor, Words};
 use crate::error::StreamError;
 use crate::stats::{FastForwardStats, Group};
 
@@ -147,34 +147,23 @@ pub fn go_over_primitives_to_opener(
     if start >= len {
         return Err(StreamError::UnexpectedEof { expected: "value" });
     }
-    let mut w = start / 64;
-    let mut mask = !bits::mask_below((start % 64) as u32);
-    let mut commas = 0usize;
-    let words = cur.word_count();
-    while w < words {
-        let bm = cur.word(w);
-        let stops = (bm.openers() | bm.closers()) & mask;
-        if stops != 0 {
-            let bit = stops.trailing_zeros();
-            // Count the commas passed before the stop position.
-            commas += (bm.comma & mask & bits::mask_below(bit)).count_ones() as usize;
-            let end = w * 64 + bit as usize;
-            cur.set_pos(end);
-            stats.record(group, (end - start) as u64);
-            return Ok(commas);
-        }
-        commas += (bm.comma & mask).count_ones() as usize;
-        mask = u64::MAX;
-        w += 1;
-    }
-    Err(StreamError::Unbalanced { pos: len })
+    let (stop, commas) = with_words!(cur, |src| scan(src, start, len, stops, |b| b.comma));
+    let end = stop.ok_or(StreamError::Unbalanced { pos: len })?;
+    cur.set_pos(end);
+    stats.record(group, (end - start) as u64);
+    Ok(commas)
+}
+
+/// The batched primitive skip's stop set: any opener or closer.
+#[inline]
+fn stops(b: &BlockBitmaps) -> u64 {
+    b.openers() | b.closers()
 }
 
 /// G1 `goToObjAttr`/`goToAryAttr` (Algorithm 5): inside an object (cursor
 /// after the `{` or after an attribute's delimiter), fast-forwards to the
 /// next attribute whose value starts with `want_open` (`b'{'` or `b'['`),
-/// skipping non-matching attributes *without extracting their names* by
-/// jumping colon interval to colon interval.
+/// skipping non-matching attributes *without extracting their names*.
 ///
 /// On success returns the matching attribute's name span, with the cursor
 /// left at the value's opener. Returns `None` when the object has no more
@@ -188,101 +177,123 @@ pub fn go_to_attr_with_opener(
     stats: &mut FastForwardStats,
     want_open: u8,
 ) -> Result<Option<Span>, StreamError> {
-    let entry = cur.pos();
+    let (entry, input) = (cur.pos(), cur.input());
+    let hop = with_words!(cur, |src| seek_attr(src, input, entry, want_open))?;
+    cur.set_pos(hop.pos);
+    stats.record(Group::G1, hop.skipped);
+    Ok(hop.name)
+}
+
+/// Where a G1 attribute seek stopped.
+struct AttrHop {
+    /// The matched attribute's name span, `None` at the object's end.
+    name: Option<Span>,
+    /// The matched value's opener, or the object's `}`.
+    pos: usize,
+    /// Bytes accounted to G1.
+    skipped: u64,
+}
+
+/// The G1 attribute seek, generic over where words come from. From
+/// `entry`, hops colon to colon while the wanted opener is not yet in
+/// sight: a primitive value starts a batched skip to the next depth-0
+/// opener or closer (passing any run of primitive attributes at once), and
+/// a container of the other kind is paired over. Names are read from the
+/// raw bytes only once an opener of the wanted kind is found.
+///
+/// The G1 byte count reproduces the per-hop accounting of Algorithm 5's
+/// component functions: each container and batched skip counts its own
+/// span, and a seek that ends at a colon hop counts its whole distance
+/// from `entry`.
+fn seek_attr<W: Words>(
+    src: &mut W,
+    input: &[u8],
+    entry: usize,
+    want_open: u8,
+) -> Result<AttrHop, StreamError> {
+    let len = input.len();
+    let unbalanced = || StreamError::Unbalanced { pos: len };
+    let mut skipped = 0u64;
+    let mut at = entry;
     loop {
         // Next attribute's colon, or the end of this object — whichever
         // comes first. Values between attributes have been fully skipped,
         // so the scan cannot see nested colons.
-        let hit = cur.next_pos_where(cur.pos(), |b| b.colon | b.rbrace);
-        let Some(hit) = hit else {
-            return Err(StreamError::Unbalanced {
-                pos: cur.input().len(),
+        let (hit, _) = scan(src, at, len, |b| b.colon | b.rbrace, |_| 0);
+        let colon = hit.ok_or_else(unbalanced)?;
+        if input[colon] == b'}' {
+            return Ok(AttrHop {
+                name: None,
+                pos: colon,
+                skipped: skipped + (colon - entry) as u64,
             });
-        };
-        if cur.input()[hit] == b'}' {
-            cur.set_pos(hit);
-            stats.record(Group::G1, (hit - entry) as u64);
-            return Ok(None);
         }
-        // `hit` is the colon; the value starts after it.
-        let colon = hit;
-        cur.set_pos(colon + 1);
-        cur.skip_ws();
-        let value_byte = cur.peek().ok_or(StreamError::UnexpectedEof {
+        let value = after_ws(input, colon + 1);
+        let value_byte = *input.get(value).ok_or(StreamError::UnexpectedEof {
             expected: "attribute value",
         })?;
         if value_byte == want_open {
             // Matched type: recover the attribute name (the string just
             // before the colon) from the raw buffer — only matched-type
             // attributes pay for name extraction.
-            let span = extract_name_before(cur.input(), colon)?;
-            stats.record(
-                Group::G1,
-                (span.0.saturating_sub(1)).saturating_sub(entry) as u64,
-            );
-            return Ok(Some(span));
+            let name = extract_name_before(input, colon)?;
+            return Ok(AttrHop {
+                name: Some(name),
+                pos: value,
+                skipped: skipped + name.0.saturating_sub(1).saturating_sub(entry) as u64,
+            });
         }
-        // Wrong type: skip the value wholesale and continue.
-        match value_byte {
-            b'{' => {
-                let value_start = cur.pos();
-                cur.bump();
-                let end = cur.seek_container_end(b'{', b'}', 1)?;
-                cur.set_pos(end + 1);
-                stats.record(Group::G1, (end + 1 - value_start) as u64);
-            }
-            b'[' => {
-                let value_start = cur.pos();
-                cur.bump();
-                let end = cur.seek_container_end(b'[', b']', 1)?;
-                cur.set_pos(end + 1);
-                stats.record(Group::G1, (end + 1 - value_start) as u64);
-            }
-            _ => {
-                // Primitive: batch-skip consecutive primitive attributes to
-                // the next opener or the object end (Algorithm 5's
-                // goOverPriAttrs). The counter return is irrelevant here.
-                go_over_primitives_to_opener(cur, stats, Group::G1)?;
-                let stop = cur.peek().expect("stop char exists");
-                if stop == b'}' {
-                    stats.record(Group::G1, 0);
-                    return Ok(None);
+        let opener = if matches!(value_byte, b'{' | b'[') {
+            value
+        } else {
+            // Primitive: batch-skip consecutive primitive attributes to the
+            // next opener or the object end (Algorithm 5's goOverPriAttrs).
+            let (stop, _) = scan(src, value, len, stops, |_| 0);
+            let stop = stop.ok_or_else(unbalanced)?;
+            skipped += (stop - value) as u64;
+            match input[stop] {
+                b'}' => {
+                    return Ok(AttrHop {
+                        name: None,
+                        pos: stop,
+                        skipped,
+                    })
                 }
-                if stop == b']' {
+                b']' => {
                     return Err(StreamError::Unexpected {
                         expected: "`}` or next attribute",
                         found: b']',
-                        pos: cur.pos(),
+                        pos: stop,
+                    })
+                }
+                b if b == want_open => {
+                    let colon = last_colon_before(input, stop)?;
+                    return Ok(AttrHop {
+                        name: Some(extract_name_before(input, colon)?),
+                        pos: stop,
+                        skipped,
                     });
                 }
-                if stop == want_open {
-                    let colon = last_colon_before(cur)?;
-                    let span = extract_name_before(cur.input(), colon)?;
-                    return Ok(Some(span));
-                }
-                // Wrong-type opener: loop around; the next iteration's colon
-                // scan starts *after* this value once we skip it here.
-                let value_start = cur.pos();
-                cur.bump();
-                let (open, close) = if stop == b'{' {
-                    (b'{', b'}')
-                } else {
-                    (b'[', b']')
-                };
-                let end = cur.seek_container_end(open, close, 1)?;
-                cur.set_pos(end + 1);
-                stats.record(Group::G1, (end + 1 - value_start) as u64);
+                _ => stop,
             }
+        };
+        // A container of the other kind: pair over it and look on.
+        let end = if input[opener] == b'{' {
+            find_close(src, opener + 1, len, 1, BlockBitmaps::braces)
+        } else {
+            find_close(src, opener + 1, len, 1, BlockBitmaps::brackets)
         }
+        .ok_or_else(unbalanced)?;
+        skipped += (end + 1 - opener) as u64;
+        at = end + 1;
     }
 }
 
-/// Finds the structural colon immediately preceding the cursor position by
-/// scanning the raw bytes backwards (the name/colon lie within the bytes
-/// the batched skip just passed, so this stays within already-read input).
-fn last_colon_before(cur: &Cursor<'_>) -> Result<usize, StreamError> {
-    let input = cur.input();
-    let mut i = cur.pos();
+/// Finds the structural colon immediately preceding `at` by scanning the
+/// raw bytes backwards (the name/colon lie within the bytes the batched
+/// skip just passed, so this stays within already-read input).
+fn last_colon_before(input: &[u8], at: usize) -> Result<usize, StreamError> {
+    let mut i = at;
     while i > 0 {
         i -= 1;
         match input[i] {
@@ -535,5 +546,34 @@ mod tests {
         go_over_obj(&mut cur, &mut st, Group::G3).unwrap();
         assert_eq!(st.skipped(Group::G3), v.len() as u64);
         assert_eq!(st.skipped(Group::G2), 0);
+    }
+
+    #[test]
+    fn g1_accounting_per_hop_kind() {
+        // Each case takes a different mix of hops: colon hop to a match,
+        // batched primitive skip to a match or to `}`, a container of the
+        // other kind paired over, and `}` found by the colon hop. The G1
+        // byte counts are those of the per-hop accounting (a seek that ends
+        // at a colon hop counts its whole distance from entry on top of the
+        // container skips already counted), pinned so a rewrite of the seek
+        // cannot drift from the Table 6 figures.
+        fn seek(input: &[u8], want: u8) -> (Option<&str>, usize, u64) {
+            let mut cur = cursor_at(input, 0);
+            let mut st = FastForwardStats::new();
+            let got = go_to_attr_with_opener(&mut cur, &mut st, want).unwrap();
+            let name = got.map(|(s, e)| std::str::from_utf8(&input[s..e]).unwrap());
+            (name, cur.pos(), st.skipped(Group::G1))
+        }
+        let v = br#""a": 1, "b": "x}", "t": {"k": 1}}"#;
+        assert_eq!(seek(v, b'{'), (Some("t"), 24, 19));
+        let v = br#""o": {"x": [1]}, "t": [2]}"#;
+        assert_eq!(seek(v, b'['), (Some("t"), 22, 27));
+        let v = br#""o": [1, {"y": 2}], "p": 3, "q": {"z": 1}}"#;
+        assert_eq!(seek(v, b'{'), (Some("q"), 33, 21));
+        let v = br#""a": 1, "b": [2, "]"], "c": 3}"#;
+        assert_eq!(seek(v, b'{'), (None, 29, 17));
+        let v = br#""a": {"b": 1}}  "#;
+        assert_eq!(seek(v, b'['), (None, 13, 21));
+        assert_eq!(seek(b"  }", b'{'), (None, 2, 2));
     }
 }

@@ -38,6 +38,17 @@ fn serial_reference(query: &str, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Reads one counter from a text metrics scrape.
+fn scrape_counter(client: &mut Client, name: &str) -> u64 {
+    let scrape = String::from_utf8(client.metrics(false).unwrap().body).unwrap();
+    scrape
+        .lines()
+        .find(|l| l.starts_with(&format!("{name} ")))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("counter {name} missing from scrape:\n{scrape}"))
+}
+
 fn ndjson(n: usize) -> Vec<u8> {
     let mut out = Vec::new();
     for i in 0..n {
@@ -230,14 +241,21 @@ fn tenant_quota_sheds_only_the_greedy_tenant() {
         max_queue: 64,
         tenant_quota: 1,
         default_deadline: Duration::from_secs(10),
+        // The write guard must outlast the test's own 60 s deadline: the
+        // holder below leaves its response unread on purpose, and the
+        // default guard (8 stalls of 250 ms) would close its connection —
+        // releasing greedy's slot — after about 2 s.
+        write_timeout: Duration::from_secs(1),
+        write_stall_budget: 120,
+        metrics_endpoint: true,
         ..ServeConfig::default()
     };
     let (addr, token, handle) = start(config);
     // Deterministic permit hold: tenant "greedy" sends a request whose
     // response is far larger than any socket buffer, then does not read
-    // it. The server's single `write_all` blocks on the full client
-    // socket, and since the tenant slot is held until the response write
-    // finishes, greedy provably stays at quota — no timing assumptions.
+    // it. The server's write blocks on the full client socket, and since
+    // the tenant slot is held until the response write finishes, greedy
+    // stays at quota until the holder is released.
     let body = Arc::new(ndjson(120_000)); // ~9 MiB request; `$..*` response is ~2x larger
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
     let holder = {
@@ -263,31 +281,30 @@ fn tenant_quota_sheds_only_the_greedy_tenant() {
             parse_response(&frame).unwrap()
         })
     };
-    // Poll until greedy's second request sheds on tenant quota (it may
-    // briefly see 200 before the holder's frame is admitted).
+    // Wait for the observed event rather than sleeping: once the server
+    // counts the holder's request as admitted, greedy is at quota.
     let mut c = Client::connect_tcp(&addr).unwrap();
     c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    let shed = loop {
-        let resp = c
-            .query("again", "greedy", "$.id", Some(60_000), b"{\"id\": 1}\n")
-            .unwrap();
-        if resp.code == 429 {
-            break resp;
-        }
-        assert!(resp.is_ok(), "{:?}", (resp.code, resp.reason));
+    while scrape_counter(&mut c, "serve_admitted") == 0 {
         assert!(
             std::time::Instant::now() < deadline,
             "greedy tenant never hit its quota"
         );
-        std::thread::sleep(Duration::from_millis(20));
-    };
+    }
+    let shed = c
+        .query("again", "greedy", "$.id", Some(60_000), b"{\"id\": 1}\n")
+        .unwrap();
+    assert_eq!(shed.code, 429, "{:?}", (shed.code, shed.reason));
     assert_eq!(shed.reason.as_deref(), Some("tenant_quota"));
+    assert_eq!(scrape_counter(&mut c, "serve_shed_tenant"), 1);
     // A different tenant is unaffected even while greedy is pinned.
     let resp = c
         .query("other", "polite", "$.id", Some(60_000), b"{\"id\": 1}\n")
         .unwrap();
     assert!(resp.is_ok(), "{:?}", (resp.code, resp.reason));
+    // The holder's connection is still open: no write stall closed it.
+    assert_eq!(scrape_counter(&mut c, "serve_stalled_writes"), 0);
     // Let the holder drain its response; it must be complete and correct.
     release_tx.send(()).unwrap();
     let held = holder.join().unwrap();

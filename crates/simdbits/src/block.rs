@@ -79,22 +79,18 @@ impl BlockBitmaps {
         ]
     }
 
-    /// Returns the structural bitmap for metacharacter `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not one of `{ } [ ] : ,`.
+    /// The `(opener, closer)` lanes of `{}`. Pairing scans take this (or
+    /// [`brackets`](Self::brackets)) as a lane selector chosen once per
+    /// scan, so their loop reads two lanes per word with no dispatch.
     #[inline]
-    pub fn structural(&self, c: u8) -> u64 {
-        match c {
-            b'{' => self.lbrace,
-            b'}' => self.rbrace,
-            b'[' => self.lbracket,
-            b']' => self.rbracket,
-            b':' => self.colon,
-            b',' => self.comma,
-            _ => panic!("not a JSON metacharacter: {:?}", c as char),
-        }
+    pub fn braces(&self) -> (u64, u64) {
+        (self.lbrace, self.rbrace)
+    }
+
+    /// The `(opener, closer)` lanes of `[]`; see [`braces`](Self::braces).
+    #[inline]
+    pub fn brackets(&self) -> (u64, u64) {
+        (self.lbracket, self.rbracket)
     }
 
     /// Union of `{` and `[` (any opener), used by the enhanced G1 functions.
@@ -324,20 +320,10 @@ mod tests {
             comma: 32,
             ..Default::default()
         };
-        assert_eq!(bm.structural(b'{'), 1);
-        assert_eq!(bm.structural(b'}'), 2);
-        assert_eq!(bm.structural(b'['), 4);
-        assert_eq!(bm.structural(b']'), 8);
-        assert_eq!(bm.structural(b':'), 16);
-        assert_eq!(bm.structural(b','), 32);
+        assert_eq!(bm.braces(), (1, 2));
+        assert_eq!(bm.brackets(), (4, 8));
         assert_eq!(bm.openers(), 5);
         assert_eq!(bm.closers(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a JSON metacharacter")]
-    fn structural_rejects_non_metachar() {
-        BlockBitmaps::default().structural(b'x');
     }
 
     #[test]
