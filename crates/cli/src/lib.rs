@@ -334,8 +334,19 @@ pub enum ExtractMode {
     Typed,
 }
 
-/// Appends one rendered match to `buf` under the given extract mode.
-fn append_match(buf: &mut Vec<u8>, m: &jsonski::Match<'_>, mode: ExtractMode) {
+/// Appends one output line for a match of query `query` to `buf` under
+/// the given extract mode. With several queries the line starts with the
+/// query index and a tab; a single query's lines are the bare match.
+fn append_match(
+    buf: &mut Vec<u8>,
+    single: bool,
+    query: usize,
+    m: &jsonski::Match<'_>,
+    mode: ExtractMode,
+) {
+    if !single {
+        buf.extend_from_slice(format!("{query}\t").as_bytes());
+    }
     match mode {
         ExtractMode::Raw => buf.extend_from_slice(m.bytes()),
         ExtractMode::Typed => match m.value().as_str() {
@@ -343,6 +354,16 @@ fn append_match(buf: &mut Vec<u8>, m: &jsonski::Match<'_>, mode: ExtractMode) {
             Err(_) => buf.extend_from_slice(m.bytes()),
         },
     }
+    buf.push(b'\n');
+}
+
+/// The one streaming engine of the serial paths: every query in one
+/// shared pass (a single query runs the plain `JsonSki` evaluator).
+fn compile_engine(opts: &Options) -> Result<MultiQuery, CliError> {
+    let queries: Vec<&str> = opts.queries.iter().map(String::as_str).collect();
+    Ok(MultiQuery::compile(&queries)
+        .map_err(|e| CliError::Usage(e.to_string()))?
+        .with_config(opts.engine_config()))
 }
 
 impl Options {
@@ -791,27 +812,8 @@ pub fn run_ctl(
     } else {
         Metrics::disabled()
     };
-    let single = if opts.queries.len() == 1 {
-        Some(
-            JsonSki::compile(&opts.queries[0])
-                .map_err(|e| CliError::Usage(e.to_string()))?
-                .with_config(opts.engine_config()),
-        )
-    } else {
-        None
-    };
-    let multi = if single.is_none() {
-        let queries: Vec<&str> = opts.queries.iter().map(|s| s.as_str()).collect();
-        Some(
-            MultiQuery::compile(&queries)
-                .map_err(|e| CliError::Usage(e.to_string()))?
-                .with_limits(limits)
-                .with_validation(opts.validation)
-                .with_kernel(opts.kernel),
-        )
-    } else {
-        None
-    };
+    let engine = compile_engine(opts)?;
+    let single = opts.queries.len() == 1;
     // Per-record staging: a streaming engine can emit matches before it
     // diagnoses an error later in the same record, so output and counts are
     // committed only once the record evaluates cleanly — the same
@@ -867,36 +869,18 @@ pub fn run_ctl(
         // The stopwatch is a no-op unless the `metrics` feature is on AND
         // the registry is live, so the timed wrapper costs nothing here.
         let sw = agg.stopwatch();
-        let result = if let Some(engine) = &single {
-            engine.stream(record, |m| {
-                rec_counts[0] += 1;
-                rec_emitted += 1;
-                if !opts.count_only {
-                    append_match(&mut buf, &m, opts.extract);
-                    buf.push(b'\n');
-                }
-                if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-        } else {
-            multi.as_ref().unwrap().stream(record, |i, m| {
-                rec_counts[i] += 1;
-                rec_emitted += 1;
-                if !opts.count_only {
-                    buf.extend_from_slice(format!("{i}\t").as_bytes());
-                    append_match(&mut buf, &m, opts.extract);
-                    buf.push(b'\n');
-                }
-                if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-        };
+        let result = engine.stream(record, |i, m| {
+            rec_counts[i] += 1;
+            rec_emitted += 1;
+            if !opts.count_only {
+                append_match(&mut buf, single, i, &m, opts.extract);
+            }
+            if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
         let eval_ns = sw.elapsed_ns();
         agg.add_eval_ns(eval_ns);
         match result {
@@ -938,7 +922,7 @@ pub fn run_ctl(
         // multiple queries the live pass runs them combined, so each query
         // is re-measured on its own over the full input (`--limit` applies
         // only to the live pass).
-        let per_query = if single.is_some() {
+        let per_query = if single {
             vec![(opts.queries[0].clone(), agg.snapshot())]
         } else {
             measure_queries(
@@ -1084,13 +1068,8 @@ pub fn run_reader_ctl<R: std::io::Read>(
     if opts.jobs > 1 {
         eprintln!("jsonski: --jobs applies to single-query runs; running serially");
     }
-    let queries: Vec<&str> = opts.queries.iter().map(|s| s.as_str()).collect();
     let limits = opts.limits();
-    let engine = MultiQuery::compile(&queries)
-        .map_err(|e| CliError::Usage(e.to_string()))?
-        .with_limits(limits)
-        .with_validation(opts.validation)
-        .with_kernel(opts.kernel);
+    let engine = compile_engine(opts)?;
     let single = opts.queries.len() == 1;
     let mut counts = vec![0usize; opts.queries.len()];
     let mut total_stats = jsonski::FastForwardStats::new();
@@ -1131,11 +1110,7 @@ pub fn run_reader_ctl<R: std::io::Read>(
                     rec_counts[i] += 1;
                     rec_emitted += 1;
                     if !opts.count_only {
-                        if !single {
-                            buf.extend_from_slice(format!("{i}\t").as_bytes());
-                        }
-                        append_match(&mut buf, &m, opts.extract);
-                        buf.push(b'\n');
+                        append_match(&mut buf, single, i, &m, opts.extract);
                     }
                     if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
                         ControlFlow::Break(())

@@ -10,6 +10,11 @@
 //! * skip-and-output (G3) for accepted values,
 //! * skip-to-object-end (G4) once a uniquely-named attribute has matched,
 //! * index-range skips (G5) for arrays with `[n]`/`[m:n]` constraints.
+//!
+//! The evaluator is generic over a [`QuerySet`]: one query's [`Runtime`]
+//! for [`JsonSki`], or several in lockstep for
+//! [`MultiQuery`](crate::MultiQuery), whose every skip is the conjunction of
+//! the single-query decisions over the live queries.
 
 use std::ops::ControlFlow;
 
@@ -301,64 +306,15 @@ impl JsonSki {
         )
     }
 
-    fn stream_cursor<'a, F>(&self, cur: Cursor<'a>, sink: F) -> Result<StreamOutcome, StreamError>
+    fn stream_cursor<'a, F>(
+        &self,
+        cur: Cursor<'a>,
+        mut sink: F,
+    ) -> Result<StreamOutcome, StreamError>
     where
         F: FnMut(Match<'a>) -> ControlFlow<()>,
     {
-        let mut eval = Eval {
-            cur,
-            rt: Runtime::new(&self.path),
-            stats: FastForwardStats::new(),
-            sink,
-            matches: 0,
-            depth: 0,
-            pending: Vec::new(),
-            flush_from: 0,
-            config: self.config,
-            deadline: self
-                .config
-                .limits
-                .deadline
-                .map(|d| std::time::Instant::now() + d),
-        };
-        let stopped = match eval.record() {
-            Ok(()) => {
-                debug_assert!(
-                    eval.pending.is_empty(),
-                    "pending matches must all be flushed by end of record"
-                );
-                // Strict mode validates to the end of the record even though
-                // evaluation may have fast-forwarded past (or stopped before)
-                // the remaining bytes. No-op in Permissive mode.
-                eval.cur.finish_strict()?;
-                false
-            }
-            // Sink-requested early exit deliberately skips the rest of the
-            // input — "no further input bytes are examined" (see above)
-            // extends to validation.
-            Err(Abort::Stop) => true,
-            Err(Abort::Err(e)) => {
-                // A structural error in Strict mode is often the *echo* of a
-                // validity fault (e.g. an unterminated string surfaces as
-                // UnexpectedEof from the seek that ran off the end). Finish
-                // validation and prefer its typed, offset-bearing verdict so
-                // streaming evaluation and a validate-then-parse pre-pass
-                // report identical first failures.
-                if let Err(invalid @ StreamError::Invalid { .. }) = eval.cur.finish_strict() {
-                    return Err(invalid);
-                }
-                return Err(e);
-            }
-        };
-        Ok(StreamOutcome {
-            stats: eval.stats,
-            matches: eval.matches,
-            stopped,
-            consumed: eval.cur.pos(),
-            words_classified: eval.cur.words_classified(),
-            word_cache_hits: eval.cur.word_cache_hits(),
-            classify_ns: eval.cur.classify_ns(),
-        })
+        evaluate(Runtime::new(&self.path), cur, self.config, |_, m| sink(m))
     }
 
     /// Streams one JSON record, invoking `sink` with the [`Match`] handle
@@ -471,6 +427,247 @@ pub struct StreamOutcome {
     pub classify_ns: u64,
 }
 
+/// The automaton side of the evaluator: one query's [`Runtime`] (the
+/// [`JsonSki`] monomorphisation) or several run in lockstep
+/// ([`MultiQuery`](crate::MultiQuery)). Every answer is the conjunction,
+/// over the live queries, of what each query would decide alone, so the
+/// evaluator takes the same skip whether it serves one query or many.
+pub(crate) trait QuerySet {
+    /// Every query's transition for one value.
+    type Decision: Copy;
+
+    /// Number of queries; the sink's query index ranges over `0..len()`.
+    fn len(&self) -> usize;
+
+    /// Enters the root container; the decision for the root value itself.
+    fn enter_root(&mut self, kind: ContainerKind) -> Self::Decision;
+
+    /// The decision for a primitive root record (only `$` selects it).
+    fn primitive_root(&mut self) -> Self::Decision;
+
+    /// Rule `[Key]` for the attribute named `raw` in the current object.
+    fn on_key(&mut self, raw: &[u8]) -> Self::Decision;
+
+    /// The current element of the current array, whose first byte is at
+    /// `input[pos]` (filter predicates probe it).
+    fn on_element(&mut self, input: &[u8], pos: usize) -> Self::Decision;
+
+    /// The combined status: accepted when any query accepts, live when
+    /// any query still needs the value's interior.
+    fn status(&self, d: Self::Decision) -> Status;
+
+    /// Whether query `i` takes the value as a result. Called only for a
+    /// decision whose combined status accepts.
+    fn accepts(&self, d: Self::Decision, i: usize) -> bool;
+
+    /// Descends into a container value (rule `[Key]`-push / `[Ary-S]`).
+    fn enter(&mut self, kind: ContainerKind, d: Self::Decision);
+
+    /// Leaves the current container (rule `[Val]` / `[Ary-E]`).
+    fn exit(&mut self);
+
+    /// Rule `[Com]` for every query.
+    fn increment(&mut self);
+
+    /// The current array's element counter.
+    fn counter(&self) -> usize;
+
+    /// The type every live query expects a match in the current container
+    /// to have; [`ExpectedType::Unknown`] when they differ, `None` when no
+    /// query is live. A query done with the current object
+    /// ([`QuerySet::settle`]) is no longer live in it.
+    fn expected_type(&self) -> Option<ExpectedType>;
+
+    /// Fast-forward legality of the current container, conjoined over the
+    /// live queries.
+    fn legality(&self) -> Legality;
+
+    /// The union of the live queries' index ranges in the current array;
+    /// `None` when any live query is unbounded.
+    fn index_range(&self) -> Option<(usize, usize)>;
+
+    /// Starts the attribute scan of the current object.
+    fn open_object(&mut self);
+
+    /// After a value of the current object that some query took or
+    /// descended into (G4 enabled): how far the queries are done with the
+    /// object. `legal` is the object's [`QuerySet::legality`].
+    fn settle(&mut self, d: Self::Decision, legal: Legality) -> Settled;
+}
+
+/// The queries' progress through an object after a value ([`QuerySet::settle`]).
+pub(crate) enum Settled {
+    /// No query became done.
+    Open,
+    /// Some query became done, others are still live: the live set, and
+    /// with it the expected type, narrowed.
+    Narrowed,
+    /// Every query is done: G4 skips the rest of the object.
+    Done,
+}
+
+/// One query: the automaton itself, with no per-level scratch.
+impl QuerySet for Runtime<'_> {
+    type Decision = (State, Status);
+
+    #[inline]
+    fn len(&self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn enter_root(&mut self, kind: ContainerKind) -> Self::Decision {
+        (State::UNMATCHED, Runtime::enter_root(self, kind))
+    }
+
+    #[inline]
+    fn primitive_root(&mut self) -> Self::Decision {
+        let status = if self.path().is_empty() {
+            Status::Accept
+        } else {
+            Status::Unmatched
+        };
+        (State::UNMATCHED, status)
+    }
+
+    #[inline]
+    fn on_key(&mut self, raw: &[u8]) -> Self::Decision {
+        self.value_state_for_key_raw(raw)
+    }
+
+    #[inline]
+    fn on_element(&mut self, input: &[u8], pos: usize) -> Self::Decision {
+        self.element_state_with(&mut |expr| jsonpath::filter::eval(expr, &input[pos..]))
+    }
+
+    #[inline]
+    fn status(&self, d: Self::Decision) -> Status {
+        d.1
+    }
+
+    #[inline]
+    fn accepts(&self, _: Self::Decision, _: usize) -> bool {
+        true
+    }
+
+    #[inline]
+    fn enter(&mut self, kind: ContainerKind, d: Self::Decision) {
+        Runtime::enter(self, kind, d.0);
+    }
+
+    #[inline]
+    fn exit(&mut self) {
+        Runtime::exit(self);
+    }
+
+    #[inline]
+    fn increment(&mut self) {
+        Runtime::increment(self);
+    }
+
+    #[inline]
+    fn counter(&self) -> usize {
+        Runtime::counter(self)
+    }
+
+    #[inline]
+    fn expected_type(&self) -> Option<ExpectedType> {
+        Runtime::expected_type(self)
+    }
+
+    #[inline]
+    fn legality(&self) -> Legality {
+        Runtime::legality(self)
+    }
+
+    #[inline]
+    fn index_range(&self) -> Option<(usize, usize)> {
+        Runtime::index_range(self)
+    }
+
+    #[inline]
+    fn open_object(&mut self) {}
+
+    /// Only uniquely-named child steps ([`Legality::g4`], computed once on
+    /// container entry) preclude a later sibling match.
+    #[inline]
+    fn settle(&mut self, _: Self::Decision, legal: Legality) -> Settled {
+        if legal.g4 {
+            Settled::Done
+        } else {
+            Settled::Open
+        }
+    }
+}
+
+/// Streams one record through `queries`, the evaluator behind both
+/// [`JsonSki::stream`] and [`MultiQuery::stream`](crate::MultiQuery::stream):
+/// `sink(query_index, match)` receives every match.
+pub(crate) fn evaluate<'a, Q, F>(
+    queries: Q,
+    cur: Cursor<'a>,
+    config: EngineConfig,
+    sink: F,
+) -> Result<StreamOutcome, StreamError>
+where
+    Q: QuerySet,
+    F: FnMut(usize, Match<'a>) -> ControlFlow<()>,
+{
+    let mut eval = Eval {
+        cur,
+        q: queries,
+        stats: FastForwardStats::new(),
+        sink,
+        matches: 0,
+        depth: 0,
+        pending: Vec::new(),
+        flush_from: 0,
+        config,
+        deadline: config
+            .limits
+            .deadline
+            .map(|d| std::time::Instant::now() + d),
+    };
+    let stopped = match eval.record() {
+        Ok(()) => {
+            debug_assert!(
+                eval.pending.is_empty(),
+                "pending matches must all be flushed by end of record"
+            );
+            // Strict mode validates to the end of the record even though
+            // evaluation may have fast-forwarded past (or stopped before)
+            // the remaining bytes. No-op in Permissive mode.
+            eval.cur.finish_strict()?;
+            false
+        }
+        // Sink-requested early exit deliberately skips the rest of the
+        // input — "no further input bytes are examined" (see
+        // `JsonSki::stream`) extends to validation.
+        Err(Abort::Stop) => true,
+        Err(Abort::Err(e)) => {
+            // A structural error in Strict mode is often the *echo* of a
+            // validity fault (e.g. an unterminated string surfaces as
+            // UnexpectedEof from the seek that ran off the end). Finish
+            // validation and prefer its typed, offset-bearing verdict so
+            // streaming evaluation and a validate-then-parse pre-pass
+            // report identical first failures.
+            if let Err(invalid @ StreamError::Invalid { .. }) = eval.cur.finish_strict() {
+                return Err(invalid);
+            }
+            return Err(e);
+        }
+    };
+    Ok(StreamOutcome {
+        stats: eval.stats,
+        matches: eval.matches,
+        stopped,
+        consumed: eval.cur.pos(),
+        words_classified: eval.cur.words_classified(),
+        word_cache_hits: eval.cur.word_cache_hits(),
+        classify_ns: eval.cur.classify_ns(),
+    })
+}
+
 /// Propagates either a hard parse error or a sink-requested stop up
 /// through the recursive descent.
 enum Abort {
@@ -488,20 +685,23 @@ impl From<StreamError> for Abort {
 /// ascending) under descendant queries: an [`AcceptAndDescend`] container
 /// must reach the sink before the matches found inside it, but its span's
 /// end is only known once the traversal returns. `end == None` marks a
-/// still-open container entry.
+/// still-open container entry; entries opened together (one per accepting
+/// query) emit in query order.
 ///
-/// Descendant-free queries never open an entry, so every emission stays
-/// immediate — the queue costs them nothing.
+/// Descendant-free query sets whose queries never accept and descend the
+/// same container open no entry, so every emission stays immediate — the
+/// queue costs them nothing.
 ///
 /// [`AcceptAndDescend`]: Status::AcceptAndDescend
 struct PendingMatch {
+    query: usize,
     start: usize,
     end: Option<usize>,
 }
 
-struct Eval<'a, 'p, F> {
+struct Eval<'a, Q, F> {
     cur: Cursor<'a>,
-    rt: Runtime<'p>,
+    q: Q,
     stats: FastForwardStats,
     sink: F,
     matches: usize,
@@ -516,7 +716,7 @@ struct Eval<'a, 'p, F> {
     deadline: Option<std::time::Instant>,
 }
 
-impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
+impl<'a, Q: QuerySet, F: FnMut(usize, Match<'a>) -> ControlFlow<()>> Eval<'a, Q, F> {
     /// Depth/deadline guard shared by `object()` and `array()`: called
     /// once per container entry, after `depth` was incremented.
     fn check_guards(&mut self) -> Result<(), Abort> {
@@ -535,57 +735,76 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
         Ok(())
     }
 
-    /// Emits a completed span, or queues it while an enclosing
-    /// [`Status::AcceptAndDescend`] container entry is still open (the
-    /// container must reach the sink first).
-    fn emit(&mut self, span: Span) -> Result<(), Abort> {
-        if self.flush_from == self.pending.len() {
-            self.emit_now(span)
-        } else {
-            self.pending.push(PendingMatch {
-                start: span.0,
-                end: Some(span.1),
-            });
-            Ok(())
+    /// Emits a completed span to every query that accepts it, or queues
+    /// it while an enclosing [`Status::AcceptAndDescend`] container entry
+    /// is still open (the container must reach the sink first).
+    fn emit(&mut self, d: Q::Decision, span: Span) -> Result<(), Abort> {
+        for query in 0..self.q.len() {
+            if !self.q.accepts(d, query) {
+                continue;
+            }
+            if self.flush_from == self.pending.len() {
+                self.emit_now(query, span)?;
+            } else {
+                self.pending.push(PendingMatch {
+                    query,
+                    start: span.0,
+                    end: Some(span.1),
+                });
+            }
         }
+        Ok(())
     }
 
-    fn emit_now(&mut self, span: Span) -> Result<(), Abort> {
+    fn emit_now(&mut self, query: usize, span: Span) -> Result<(), Abort> {
         self.matches += 1;
         // Match::new is the shared normalization point (evaluate.rs): the
         // span every engine reports is trimmed there, not here.
-        match (self.sink)(Match::new(0, self.cur.input(), span)) {
+        match (self.sink)(query, Match::new(0, self.cur.input(), span)) {
             ControlFlow::Continue(()) => Ok(()),
             ControlFlow::Break(()) => Err(Abort::Stop),
         }
     }
 
-    /// Opens a pending entry for an accepted container about to be
-    /// descended; [`Eval::close_pending`] completes it once the end is
-    /// known and flushes everything that became ready.
-    fn open_pending(&mut self, start: usize) {
-        self.pending.push(PendingMatch { start, end: None });
+    /// Opens a pending entry per accepting query for a container about to
+    /// be descended; [`Eval::close_pending`] completes them once the end is
+    /// known and flushes everything that became ready. Returns how many
+    /// entries were opened.
+    fn open_pending(&mut self, d: Q::Decision, start: usize) -> usize {
+        let mut opened = 0;
+        for query in 0..self.q.len() {
+            if self.q.accepts(d, query) {
+                self.pending.push(PendingMatch {
+                    query,
+                    start,
+                    end: None,
+                });
+                opened += 1;
+            }
+        }
+        opened
     }
 
-    fn close_pending(&mut self, end: usize) -> Result<(), Abort> {
-        let open = self
-            .pending
-            .iter_mut()
-            .rev()
-            .find(|p| p.end.is_none())
-            .expect("unbalanced pending-match close");
-        open.end = Some(end);
-        self.flush_pending()
-    }
-
-    /// Delivers queued matches from the front while their spans are
-    /// complete; stops at the first still-open container entry.
-    fn flush_pending(&mut self) -> Result<(), Abort> {
+    /// Completes the last `opened` open entries with `end`, then delivers
+    /// queued matches from the front while their spans are complete; stops
+    /// at the first still-open container entry.
+    fn close_pending(&mut self, opened: usize, end: usize) -> Result<(), Abort> {
+        let mut left = opened;
+        for p in self.pending.iter_mut().rev() {
+            if left == 0 {
+                break;
+            }
+            if p.end.is_none() {
+                p.end = Some(end);
+                left -= 1;
+            }
+        }
+        assert_eq!(left, 0, "unbalanced pending-match close");
         while let Some(p) = self.pending.get(self.flush_from) {
             let Some(end) = p.end else { break };
-            let span = (p.start, end);
+            let (query, span) = (p.query, (p.start, end));
             self.flush_from += 1;
-            self.emit_now(span)?;
+            self.emit_now(query, span)?;
         }
         if self.flush_from == self.pending.len() {
             self.pending.clear();
@@ -594,26 +813,31 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
         Ok(())
     }
 
-    /// Descends into a container value (opener not yet consumed) whose
-    /// computed automaton state is `state`.
-    fn descend(&mut self, kind: ContainerKind, state: State) -> Result<(), Abort> {
-        self.cur.bump();
-        self.rt.enter(kind, state);
-        let r = match kind {
+    /// Scans the container whose opener was just consumed.
+    fn container(&mut self, kind: ContainerKind) -> Result<(), Abort> {
+        match kind {
             ContainerKind::Object => self.object(),
             ContainerKind::Array => self.array(),
-        };
-        self.rt.exit();
+        }
+    }
+
+    /// Descends into a container value (opener not yet consumed) whose
+    /// decision is `d`.
+    fn descend(&mut self, kind: ContainerKind, d: Q::Decision) -> Result<(), Abort> {
+        self.cur.bump();
+        self.q.enter(kind, d);
+        let r = self.container(kind);
+        self.q.exit();
         r
     }
 
     /// [`Status::AcceptAndDescend`] on a container value: the container is
     /// itself a result *and* must be searched. Emission is deferred through
     /// the pending queue so the sink sees it before its interior matches.
-    fn descend_with_output(&mut self, kind: ContainerKind, state: State) -> Result<(), Abort> {
-        self.open_pending(self.cur.pos());
-        self.descend(kind, state)?;
-        self.close_pending(self.cur.pos())
+    fn descend_with_output(&mut self, kind: ContainerKind, d: Q::Decision) -> Result<(), Abort> {
+        let opened = self.open_pending(d, self.cur.pos());
+        self.descend(kind, d)?;
+        self.close_pending(opened, self.cur.pos())
     }
 
     fn record(&mut self) -> Result<(), Abort> {
@@ -622,53 +846,45 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
         let Some(t) = self.cur.peek() else {
             return Ok(()); // blank input: zero records, zero matches
         };
-        match t {
-            b'{' => {
-                match self.rt.enter_root(ContainerKind::Object) {
-                    Status::Accept => {
-                        let span = go_over_obj(&mut self.cur, &mut self.stats, Group::G3)?;
-                        self.emit(span)?;
-                    }
-                    Status::Unmatched => {
-                        go_over_obj(&mut self.cur, &mut self.stats, Group::G2)?;
-                    }
-                    Status::Matched => {
-                        self.cur.expect(b'{', "`{`")?;
-                        self.object()?;
-                    }
-                    // The root value has no enclosing selector, so it is
-                    // never simultaneously a result and a search frontier.
-                    Status::AcceptAndDescend => unreachable!("root cannot AcceptAndDescend"),
-                }
-                self.rt.exit();
-            }
-            b'[' => {
-                match self.rt.enter_root(ContainerKind::Array) {
-                    Status::Accept => {
-                        let span = go_over_ary(&mut self.cur, &mut self.stats, Group::G3)?;
-                        self.emit(span)?;
-                    }
-                    Status::Unmatched => {
-                        go_over_ary(&mut self.cur, &mut self.stats, Group::G2)?;
-                    }
-                    Status::Matched => {
-                        self.cur.expect(b'[', "`[`")?;
-                        self.array()?;
-                    }
-                    Status::AcceptAndDescend => unreachable!("root cannot AcceptAndDescend"),
-                }
-                self.rt.exit();
-            }
+        let kind = match t {
+            b'{' => ContainerKind::Object,
+            b'[' => ContainerKind::Array,
             _ => {
                 // Primitive root record: matches only the `$` path.
-                if self.rt.path().is_empty() {
-                    let span = go_over_primitive(&mut self.cur, &mut self.stats, Group::G3)?;
-                    self.emit(span)?;
-                } else {
+                let d = self.q.primitive_root();
+                if self.q.status(d) == Status::Unmatched {
                     go_over_primitive(&mut self.cur, &mut self.stats, Group::G2)?;
+                } else {
+                    let span = go_over_primitive(&mut self.cur, &mut self.stats, Group::G3)?;
+                    self.emit(d, span)?;
                 }
+                return Ok(());
+            }
+        };
+        let d = self.q.enter_root(kind);
+        match self.q.status(d) {
+            Status::Accept => {
+                let span = self.skip_value(t, Group::G3)?;
+                self.emit(d, span)?;
+            }
+            Status::Unmatched => {
+                self.skip_value(t, Group::G2)?;
+            }
+            Status::Matched => {
+                self.cur.bump();
+                self.container(kind)?;
+            }
+            // One query's root is never both a result and a search
+            // frontier; with several, `$` can accept the root that another
+            // query searches.
+            Status::AcceptAndDescend => {
+                let opened = self.open_pending(d, self.cur.pos());
+                self.cur.bump();
+                self.container(kind)?;
+                self.close_pending(opened, self.cur.pos())?;
             }
         }
+        self.q.exit();
         Ok(())
     }
 
@@ -677,30 +893,38 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
     fn object(&mut self) -> Result<(), Abort> {
         self.depth += 1;
         self.check_guards()?;
-        // Legality is a property of the frame's state set, which is fixed
-        // for the whole container scan: compute it once on entry.
-        let legal = self.rt.legality();
-        let result = match self.rt.expected_type() {
+        self.q.open_object();
+        // Legality is a property of the live state sets, which are fixed
+        // until a query is done with the object: compute it on entry.
+        let legal = self.q.legality();
+        let result = match self.q.expected_type() {
             // Nothing in this object can match: drain to the end (a pure
             // over-skip, accounted as G2).
             None => self.finish_object(Group::G2),
-            Some(ExpectedType::Object) if self.config.g1 && legal.g1 => {
-                self.object_typed(b'{', legal)
-            }
-            Some(ExpectedType::Array) if self.config.g1 && legal.g1 => {
-                self.object_typed(b'[', legal)
-            }
-            // `ExpectedType::Unknown` lands here too: descendant and
-            // multi-position states have no single candidate type, so G1
-            // seeking is off and every attribute is examined.
-            Some(_) => self.object_generic(legal),
+            Some(expected) => match self.g1_opener(expected, legal) {
+                Some(open) => self.object_typed(open, legal),
+                None => self.object_generic(legal),
+            },
         };
         self.depth -= 1;
         result
     }
 
-    /// Typed attribute loop: the query dictates that only attributes whose
-    /// value opens with `open` can match, so G1 seeks them directly.
+    /// The opener G1 seeks in an object whose live queries expect
+    /// `expected`. `ExpectedType::Unknown` has none: descendant and
+    /// multi-position states, and query sets expecting different types,
+    /// have no single candidate type, so every attribute is examined.
+    fn g1_opener(&self, expected: ExpectedType, legal: Legality) -> Option<u8> {
+        match expected {
+            _ if !(self.config.g1 && legal.g1) => None,
+            ExpectedType::Object => Some(b'{'),
+            ExpectedType::Array => Some(b'['),
+            _ => None,
+        }
+    }
+
+    /// Typed attribute loop: every live query dictates that only attributes
+    /// whose value opens with `open` can match, so G1 seeks them directly.
     fn object_typed(&mut self, open: u8, legal: Legality) -> Result<(), Abort> {
         let kind = if open == b'{' {
             ContainerKind::Object
@@ -714,9 +938,8 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                 self.cur.expect(b'}', "`}`")?;
                 return Ok(());
             };
-            let raw_name = &self.cur.input()[ns..ne];
-            let (state, status) = self.rt.value_state_for_key_raw(raw_name);
-            match status {
+            let d = self.q.on_key(&self.cur.input()[ns..ne]);
+            match self.q.status(d) {
                 Status::Unmatched => {
                     // G2: fast-forward over the unmatched container value.
                     if open == b'{' {
@@ -724,6 +947,7 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                     } else {
                         go_over_ary(&mut self.cur, &mut self.stats, Group::G2)?;
                     }
+                    continue;
                 }
                 Status::Accept => {
                     let span = if open == b'{' {
@@ -731,24 +955,14 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                     } else {
                         go_over_ary(&mut self.cur, &mut self.stats, Group::G3)?
                     };
-                    self.emit(span)?;
-                    if self.g4_applies(legal) {
-                        return self.finish_object(Group::G4);
-                    }
+                    self.emit(d, span)?;
                 }
                 Status::Matched => {
                     self.cur.expect(open, "container opener")?;
-                    self.rt.enter(kind, state);
-                    let r = if open == b'{' {
-                        self.object()
-                    } else {
-                        self.array()
-                    };
-                    self.rt.exit();
+                    self.q.enter(kind, d);
+                    let r = self.container(kind);
+                    self.q.exit();
                     r?;
-                    if self.g4_applies(legal) {
-                        return self.finish_object(Group::G4);
-                    }
                 }
                 // Unreachable in practice: the typed loop runs only for
                 // singleton non-descendant states (`legal.g1`), whose
@@ -756,26 +970,25 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                 // stays live. Handled anyway for robustness.
                 Status::AcceptAndDescend => {
                     self.cur.skip_ws();
-                    let start = self.cur.pos();
-                    self.open_pending(start);
+                    let opened = self.open_pending(d, self.cur.pos());
                     self.cur.expect(open, "container opener")?;
-                    self.rt.enter(kind, state);
-                    let r = if open == b'{' {
-                        self.object()
-                    } else {
-                        self.array()
-                    };
-                    self.rt.exit();
+                    self.q.enter(kind, d);
+                    let r = self.container(kind);
+                    self.q.exit();
                     r?;
-                    self.close_pending(self.cur.pos())?;
+                    self.close_pending(opened, self.cur.pos())?;
                 }
+            }
+            // A narrowed live set still agrees on `open`: keep seeking.
+            if let Settled::Done = self.settle(d, legal) {
+                return self.finish_object(Group::G4);
             }
         }
     }
 
     /// Generic attribute loop for states with no inferable candidate type:
-    /// the last path level, multi-position (descendant) sets, and wildcard
-    /// tails.
+    /// the last path level, multi-position (descendant) sets, wildcard
+    /// tails, and query sets whose live queries expect different types.
     fn object_generic(&mut self, legal: Legality) -> Result<(), Abort> {
         loop {
             let t = self.cur.peek_token("attribute or `}`")?;
@@ -786,57 +999,9 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                 }
                 b',' => {
                     self.cur.bump();
+                    continue;
                 }
-                b'"' => {
-                    let (ns, ne) = self.cur.read_string()?;
-                    self.cur.expect(b':', "`:`")?;
-                    let raw_name = &self.cur.input()[ns..ne];
-                    let (state, status) = self.rt.value_state_for_key_raw(raw_name);
-                    self.cur.skip_ws();
-                    let vb = self.cur.peek_token("attribute value")?;
-                    match status {
-                        Status::Unmatched => {
-                            self.skip_value(vb, Group::G2)?;
-                        }
-                        Status::Accept => {
-                            let span = self.skip_value(vb, Group::G3)?;
-                            self.emit(span)?;
-                            if self.g4_applies(legal) {
-                                return self.finish_object(Group::G4);
-                            }
-                        }
-                        Status::Matched => {
-                            // Reachable through `.*` at the last level and
-                            // below live descendant positions; descend when
-                            // the value is a container.
-                            match vb {
-                                b'{' => self.descend(ContainerKind::Object, state)?,
-                                b'[' => self.descend(ContainerKind::Array, state)?,
-                                _ => {
-                                    self.skip_value(vb, Group::G2)?;
-                                }
-                            }
-                            if self.g4_applies(legal) {
-                                return self.finish_object(Group::G4);
-                            }
-                        }
-                        Status::AcceptAndDescend => {
-                            // G4 never applies after this status: it only
-                            // arises from a live descendant position, whose
-                            // legality is NONE.
-                            match vb {
-                                b'{' => self.descend_with_output(ContainerKind::Object, state)?,
-                                b'[' => self.descend_with_output(ContainerKind::Array, state)?,
-                                _ => {
-                                    // A primitive result has no interior to
-                                    // keep searching: plain skip-with-output.
-                                    let span = self.skip_value(vb, Group::G3)?;
-                                    self.emit(span)?;
-                                }
-                            }
-                        }
-                    }
-                }
+                b'"' => {}
                 other => {
                     return Err(Abort::Err(StreamError::Unexpected {
                         expected: "`\"` (attribute name)",
@@ -844,6 +1009,53 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                         pos: self.cur.pos(),
                     }))
                 }
+            }
+            let (ns, ne) = self.cur.read_string()?;
+            self.cur.expect(b':', "`:`")?;
+            let d = self.q.on_key(&self.cur.input()[ns..ne]);
+            self.cur.skip_ws();
+            let vb = self.cur.peek_token("attribute value")?;
+            match self.q.status(d) {
+                Status::Unmatched => {
+                    self.skip_value(vb, Group::G2)?;
+                    continue;
+                }
+                Status::Accept => {
+                    let span = self.skip_value(vb, Group::G3)?;
+                    self.emit(d, span)?;
+                }
+                // Reachable through `.*` at the last level and below live
+                // descendant positions; descend when the value is a
+                // container.
+                Status::Matched => match vb {
+                    b'{' => self.descend(ContainerKind::Object, d)?,
+                    b'[' => self.descend(ContainerKind::Array, d)?,
+                    _ => {
+                        self.skip_value(vb, Group::G2)?;
+                    }
+                },
+                Status::AcceptAndDescend => match vb {
+                    b'{' => self.descend_with_output(ContainerKind::Object, d)?,
+                    b'[' => self.descend_with_output(ContainerKind::Array, d)?,
+                    _ => {
+                        // A primitive result has no interior to keep
+                        // searching: plain skip-with-output.
+                        let span = self.skip_value(vb, Group::G3)?;
+                        self.emit(d, span)?;
+                    }
+                },
+            }
+            match self.settle(d, legal) {
+                Settled::Done => return self.finish_object(Group::G4),
+                // The queries still live may now agree on a type to seek.
+                Settled::Narrowed => {
+                    let legal = self.q.legality();
+                    let expected = self.q.expected_type();
+                    if let Some(open) = expected.and_then(|t| self.g1_opener(t, legal)) {
+                        return self.object_typed(open, legal);
+                    }
+                }
+                Settled::Open => {}
             }
         }
     }
@@ -858,12 +1070,12 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
     }
 
     fn array_body(&mut self) -> Result<(), Abort> {
-        let Some(expected) = self.rt.expected_type() else {
+        let Some(expected) = self.q.expected_type() else {
             // Incompatible step kind: nothing here matches (G2 drain).
             return self.finish_array(Group::G2);
         };
-        let legal = self.rt.legality();
-        let range = self.rt.index_range();
+        let legal = self.q.legality();
+        let range = self.q.index_range();
         let input = self.cur.input();
         loop {
             let t = self.cur.peek_token("element or `]`")?;
@@ -872,7 +1084,7 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                 return Ok(());
             }
             if let Some((lo, hi)) = range.filter(|_| self.config.g5 && legal.g5) {
-                let c = self.rt.counter();
+                let c = self.q.counter();
                 if c >= hi {
                     // G5: everything past the range is irrelevant.
                     return self.finish_array(Group::G5);
@@ -888,26 +1100,23 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
             }
             // Filter predicates are probed against the candidate element's
             // bytes; `peek_token` already skipped to its first byte.
-            let pos = self.cur.pos();
-            let (state, status) = self
-                .rt
-                .element_state_with(&mut |expr| jsonpath::filter::eval(expr, &input[pos..]));
-            match status {
+            let d = self.q.on_element(input, self.cur.pos());
+            match self.q.status(d) {
                 Status::Unmatched => {
                     self.skip_value(t, Group::G2)?;
                 }
                 Status::Accept => {
                     let span = self.skip_value(t, Group::G3)?;
-                    self.emit(span)?;
+                    self.emit(d, span)?;
                 }
                 Status::AcceptAndDescend => match t {
-                    b'{' => self.descend_with_output(ContainerKind::Object, state)?,
-                    b'[' => self.descend_with_output(ContainerKind::Array, state)?,
+                    b'{' => self.descend_with_output(ContainerKind::Object, d)?,
+                    b'[' => self.descend_with_output(ContainerKind::Array, d)?,
                     _ => {
                         // A primitive result has no interior to keep
                         // searching: plain skip-with-output.
                         let span = self.skip_value(t, Group::G3)?;
-                        self.emit(span)?;
+                        self.emit(d, span)?;
                     }
                 },
                 Status::Matched => match (expected, t) {
@@ -915,8 +1124,8 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                         // Type-mismatched container element: G1 skip.
                         self.skip_value(t, Group::G1)?;
                     }
-                    (_, b'{') => self.descend(ContainerKind::Object, state)?,
-                    (_, b'[') => self.descend(ContainerKind::Array, state)?,
+                    (_, b'{') => self.descend(ContainerKind::Object, d)?,
+                    (_, b'[') => self.descend(ContainerKind::Array, d)?,
                     (ExpectedType::Unknown, _) => {
                         // Below descendants/filters a primitive element can
                         // still differ from its neighbors (e.g. `$..[2]`),
@@ -924,16 +1133,16 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
                         self.skip_value(t, Group::G2)?;
                     }
                     _ => {
-                        // Primitive elements cannot carry the match deeper:
-                        // batch-skip the whole run (G1), keeping the element
-                        // counter exact via the comma count.
+                        // No live query can take a primitive here: batch-skip
+                        // the whole run (G1), keeping the element counter
+                        // exact via the comma count.
                         let commas = go_over_primitives_to_opener(
                             &mut self.cur,
                             &mut self.stats,
                             Group::G1,
                         )?;
                         for _ in 0..commas {
-                            self.rt.increment();
+                            self.q.increment();
                         }
                         // Cursor is at `{`, `[`, `]` (or a malformed `}`);
                         // re-enter the loop without delimiter handling.
@@ -953,7 +1162,7 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
             match d {
                 b',' => {
                     self.cur.bump();
-                    self.rt.increment();
+                    self.q.increment();
                 }
                 b']' => {
                     self.cur.bump();
@@ -984,7 +1193,7 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
             match d {
                 b',' => {
                     self.cur.bump();
-                    self.rt.increment();
+                    self.q.increment();
                 }
                 b']' => return Ok(true),
                 other => {
@@ -1009,12 +1218,15 @@ impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
         Ok(span)
     }
 
-    /// Whether G4 applies after a match at this object's level: only when
-    /// every live position is a uniquely-named child step ([`Legality::g4`]
-    /// of the frame, computed once on container entry) can no further
-    /// sibling match.
-    fn g4_applies(&self, legal: Legality) -> bool {
-        self.config.g4 && legal.g4
+    /// The queries' progress after a value some query took or descended
+    /// into: once every query is done with this object, no further sibling
+    /// can match (G4).
+    fn settle(&mut self, d: Q::Decision, legal: Legality) -> Settled {
+        if self.config.g4 {
+            self.q.settle(d, legal)
+        } else {
+            Settled::Open
+        }
     }
 
     fn finish_object(&mut self, group: Group) -> Result<(), Abort> {

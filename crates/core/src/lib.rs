@@ -72,8 +72,6 @@ pub use cancel::CancellationToken;
 pub use checkpoint::{digest_parts, fingerprint, Checkpoint, CheckpointCadence, FINGERPRINT_BYTES};
 pub use engine::{EngineConfig, EngineConfigBuilder, JsonSki, StreamOutcome, MAX_DEPTH};
 pub use error::{InvalidReason, StreamError};
-#[allow(deprecated)]
-pub use evaluate::ByteFnSink;
 pub use evaluate::{
     CountSink, EngineError, ErrorPolicy, Evaluate, FnSink, Match, MatchSink, RecordOutcome,
 };

@@ -3,27 +3,27 @@
 //!
 //! JPStream compiles query *sets* into one automaton; JSONSki's paper
 //! evaluates single queries but nothing in its design precludes sharing the
-//! stream. [`MultiQuery`] runs one automaton instance per query over a
-//! single cursor: a value is skipped (bit-parallel, G2) only when *every*
-//! query is unmatched on it, the G4 object-end skip fires only when *every*
-//! query has exhausted its possibilities at the current level, and accepted
-//! values are emitted per query. The per-value work is O(#queries) state
-//! updates; the stream is still classified exactly once.
+//! stream. A query set is just more automaton state: [`MultiQuery`] runs
+//! the single-query evaluator of [`crate::engine`] over one automaton
+//! instance per query, and every skip decision is the conjunction, over the
+//! live queries, of the decision each would take alone — a value is skipped
+//! (G2) only when every query is unmatched on it, G1 seeks only when every
+//! live query expects the same container type, G4 fires once every query is
+//! done at the level, and G5 skips outside the union of the live index
+//! ranges. Accepted values are emitted per query. The per-value work is
+//! O(#queries) state updates; the stream is still classified exactly once.
 
 use std::ops::ControlFlow;
 
-use jsonpath::{ContainerKind, ParsePathError, Path, Runtime, State, Status};
+use jsonpath::{
+    ContainerKind, ExpectedType, Legality, ParsePathError, Path, Runtime, State, Status,
+};
 
 use crate::cursor::Cursor;
+use crate::engine::{evaluate, EngineConfig, QuerySet, Settled};
 use crate::error::StreamError;
 use crate::evaluate::Match;
-use crate::fastforward::{
-    go_over_ary, go_over_obj, go_over_primitive, go_to_ary_end, go_to_obj_end, Span,
-};
-use crate::limits::ResourceLimits;
-use crate::stats::{FastForwardStats, Group};
-use crate::validate::ValidationMode;
-use simdbits::Kernel;
+use crate::stats::FastForwardStats;
 
 /// A set of compiled queries evaluated together in one streaming pass.
 ///
@@ -41,9 +41,7 @@ use simdbits::Kernel;
 #[derive(Clone, Debug)]
 pub struct MultiQuery {
     paths: Vec<Path>,
-    limits: ResourceLimits,
-    validation: ValidationMode,
-    kernel: Option<Kernel>,
+    config: EngineConfig,
 }
 
 impl MultiQuery {
@@ -51,42 +49,21 @@ impl MultiQuery {
     pub fn new(paths: Vec<Path>) -> Self {
         MultiQuery {
             paths,
-            limits: ResourceLimits::default(),
-            validation: ValidationMode::Permissive,
-            kernel: None,
+            config: EngineConfig::default(),
         }
     }
 
-    /// Replaces the resource guards (builder-style). Depth and deadline
-    /// are enforced during the shared scan exactly as for
-    /// [`JsonSki`](crate::JsonSki).
-    pub fn with_limits(mut self, limits: ResourceLimits) -> Self {
-        self.limits = limits;
+    /// Replaces the configuration (builder-style): the G1/G4/G5 ablation
+    /// switches, resource guards, input trust level and kernel apply to
+    /// the shared scan exactly as for [`JsonSki`](crate::JsonSki).
+    pub fn with_config(mut self, config: EngineConfig) -> Self {
+        self.config = config;
         self
     }
 
-    /// Sets the input trust level (builder-style); Strict validates every
-    /// byte of each record exactly as for [`JsonSki`](crate::JsonSki).
-    pub fn with_validation(mut self, mode: ValidationMode) -> Self {
-        self.validation = mode;
-        self
-    }
-
-    /// Forces a specific bitmap kernel (builder-style); `None` restores
-    /// auto-detection.
-    pub fn with_kernel(mut self, kernel: Option<Kernel>) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The active resource guards.
-    pub fn limits(&self) -> ResourceLimits {
-        self.limits
-    }
-
-    /// The active input trust level.
-    pub fn validation(&self) -> ValidationMode {
-        self.validation
+    /// The active configuration.
+    pub fn config(&self) -> EngineConfig {
+        self.config
     }
 
     /// Compiles a set of JSONPath expressions.
@@ -110,6 +87,10 @@ impl MultiQuery {
 
     /// Streams one record with early-exit support; `sink(query_index, match)`
     /// fires per match and may return [`ControlFlow::Break`] to stop scanning.
+    /// Each query's matches arrive in the order its own
+    /// [`JsonSki::stream`](crate::JsonSki::stream) would deliver them. With
+    /// one query this *is* that engine's pass: same matches, statistics
+    /// and work.
     ///
     /// The [`StreamOutcome`] reports combined match counts across all queries,
     /// whether the sink stopped the scan, and how many input bytes were
@@ -128,43 +109,11 @@ impl MultiQuery {
     where
         F: FnMut(usize, Match<'a>) -> ControlFlow<()>,
     {
-        let mut ev = MultiEval {
-            cur: Cursor::with_options(input, self.kernel, self.validation),
-            rts: self.paths.iter().map(Runtime::new).collect(),
-            stats: FastForwardStats::new(),
-            sink,
-            matches: 0,
-            depth: 0,
-            pending: Vec::new(),
-            flush_from: 0,
-            max_depth: self.limits.max_depth,
-            deadline: self.limits.deadline.map(|d| std::time::Instant::now() + d),
-        };
-        let stopped = match ev.record() {
-            Ok(()) => {
-                // Strict mode validates the whole record (see the
-                // single-query engine for the rationale and error
-                // precedence). No-op in Permissive mode.
-                ev.cur.finish_strict()?;
-                false
-            }
-            Err(Abort::Stop) => true,
-            Err(Abort::Err(e)) => {
-                if let Err(invalid @ StreamError::Invalid { .. }) = ev.cur.finish_strict() {
-                    return Err(invalid);
-                }
-                return Err(e);
-            }
-        };
-        Ok(crate::StreamOutcome {
-            matches: ev.matches,
-            stopped,
-            consumed: ev.cur.pos(),
-            words_classified: ev.cur.words_classified(),
-            word_cache_hits: ev.cur.word_cache_hits(),
-            classify_ns: ev.cur.classify_ns(),
-            stats: ev.stats,
-        })
+        let cur = Cursor::with_options(input, self.config.kernel, self.config.validation);
+        match &self.paths[..] {
+            [path] => evaluate(Runtime::new(path), cur, self.config, sink),
+            paths => evaluate(Many::new(paths), cur, self.config, sink),
+        }
     }
 
     /// Streams one record; `sink(query_index, match)` fires per match.
@@ -195,381 +144,228 @@ impl MultiQuery {
     }
 }
 
-/// Internal control-flow channel: a real stream error, or an early stop
-/// requested by the sink via [`ControlFlow::Break`].
-enum Abort {
-    Err(StreamError),
-    Stop,
+/// One query's transition for the value under scan at one level, plus its
+/// progress through the object at that level.
+#[derive(Clone, Copy)]
+struct Slot {
+    state: State,
+    status: Status,
+    /// The query can match nothing more in this object: its frame was dead
+    /// on entry, or it matched a uniquely-named child (G4-legal).
+    done: bool,
+    /// A match here ends the query's interest in the object (G4 is legal
+    /// for the query's state).
+    g4: bool,
 }
 
-impl From<StreamError> for Abort {
-    fn from(e: StreamError) -> Self {
-        Abort::Err(e)
-    }
+impl Slot {
+    const IDLE: Slot = Slot {
+        state: State::UNMATCHED,
+        status: Status::Unmatched,
+        done: false,
+        g4: false,
+    };
 }
 
-/// A deferred match (see the single-query engine's `PendingMatch`): under
-/// descendant queries an accepted container must reach the sink before the
-/// matches found inside it, but its span completes only after traversal.
-/// Entries carry the owning query index; same-span entries emit in query
-/// order.
-struct PendingMatch {
-    idx: usize,
-    start: usize,
-    end: Option<usize>,
-}
-
-struct MultiEval<'a, 'p, F> {
-    cur: Cursor<'a>,
+/// Several queries in lockstep: one [`Runtime`] each, and per-record
+/// scratch of one [`Slot`] per query per nesting level, so no value
+/// allocates.
+struct Many<'p> {
     rts: Vec<Runtime<'p>>,
-    stats: FastForwardStats,
-    sink: F,
-    matches: usize,
-    depth: usize,
-    /// Deferred matches; `flush_from` indexes the first entry not yet
-    /// delivered. Empty whenever no descendant container is mid-traversal,
-    /// so descendant-free query sets always emit immediately.
-    pending: Vec<PendingMatch>,
-    flush_from: usize,
-    max_depth: usize,
-    deadline: Option<std::time::Instant>,
+    /// `slots[level * n + i]` is query `i` at nesting `level` (0 for the
+    /// root value, 1 for the root container's members, ...).
+    slots: Vec<Slot>,
+    level: usize,
 }
 
-impl<'a, F: FnMut(usize, Match<'a>) -> ControlFlow<()>> MultiEval<'a, '_, F> {
-    /// Depth/deadline guard, mirroring the single-query engine's.
-    fn check_guards(&mut self) -> Result<(), Abort> {
-        if self.depth > self.max_depth {
-            return Err(Abort::Err(StreamError::TooDeep {
-                pos: self.cur.pos(),
-            }));
-        }
-        if let Some(dl) = self.deadline {
-            if std::time::Instant::now() >= dl {
-                return Err(Abort::Err(StreamError::DeadlineExpired {
-                    pos: self.cur.pos(),
-                }));
-            }
-        }
-        Ok(())
-    }
+/// A decision of [`Many`]: the combined status and where the per-query
+/// transitions live.
+#[derive(Clone, Copy)]
+struct Joint {
+    base: usize,
+    status: Status,
+}
 
-    /// Emits a completed span, or queues it while an enclosing accepted
-    /// container's entry is still open (pre-order: the container first).
-    fn emit(&mut self, idx: usize, span: Span) -> Result<(), Abort> {
-        if self.flush_from == self.pending.len() {
-            self.emit_now(idx, span)
-        } else {
-            self.pending.push(PendingMatch {
-                idx,
-                start: span.0,
-                end: Some(span.1),
-            });
-            Ok(())
+impl<'p> Many<'p> {
+    fn new(paths: &'p [Path]) -> Self {
+        Many {
+            rts: paths.iter().map(Runtime::new).collect(),
+            slots: vec![Slot::IDLE; 16 * paths.len()],
+            level: 0,
         }
     }
 
-    fn emit_now(&mut self, idx: usize, span: Span) -> Result<(), Abort> {
-        self.matches += 1;
-        match (self.sink)(idx, Match::new(0, self.cur.input(), span)) {
-            ControlFlow::Continue(()) => Ok(()),
-            ControlFlow::Break(()) => Err(Abort::Stop),
+    /// Pushes one level (after every runtime entered its frame).
+    fn deeper(&mut self) {
+        self.level += 1;
+        let n = self.rts.len();
+        let base = self.level * n;
+        if self.slots.len() < base + n {
+            self.slots.resize(base + n, Slot::IDLE);
+        }
+        for slot in &mut self.slots[base..base + n] {
+            slot.done = false;
         }
     }
 
-    /// Opens a pending entry for query `idx` accepting the container that
-    /// starts at `start` and is about to be descended.
-    fn open_pending(&mut self, idx: usize, start: usize) {
-        self.pending.push(PendingMatch {
-            idx,
-            start,
-            end: None,
-        });
-    }
-
-    /// Completes the last `opened` open entries with `end` and flushes
-    /// every queued match whose span is now known.
-    fn close_pending(&mut self, opened: usize, end: usize) -> Result<(), Abort> {
-        if opened > 0 {
-            let mut left = opened;
-            for p in self.pending.iter_mut().rev() {
-                if p.end.is_none() {
-                    p.end = Some(end);
-                    left -= 1;
-                    if left == 0 {
-                        break;
-                    }
-                }
-            }
-            assert_eq!(left, 0, "unbalanced pending-match close");
+    /// Records every query's transition for the value under scan at the
+    /// current level and combines their statuses.
+    fn decide(
+        &mut self,
+        mut decide: impl FnMut(&mut Runtime<'p>, &Slot) -> (State, Status),
+    ) -> Joint {
+        let n = self.rts.len();
+        let base = self.level * n;
+        let (mut accept, mut live) = (false, false);
+        for (rt, slot) in self.rts.iter_mut().zip(&mut self.slots[base..base + n]) {
+            (slot.state, slot.status) = decide(rt, slot);
+            accept |= matches!(slot.status, Status::Accept | Status::AcceptAndDescend);
+            live |= matches!(slot.status, Status::Matched | Status::AcceptAndDescend);
         }
-        while let Some(p) = self.pending.get(self.flush_from) {
-            let Some(end) = p.end else { break };
-            let (idx, span) = (p.idx, (p.start, end));
-            self.flush_from += 1;
-            self.emit_now(idx, span)?;
-        }
-        if self.flush_from == self.pending.len() {
-            self.pending.clear();
-            self.flush_from = 0;
-        }
-        Ok(())
-    }
-
-    fn record(&mut self) -> Result<(), Abort> {
-        self.stats.add_total(self.cur.input().len() as u64);
-        self.cur.skip_ws();
-        let Some(t) = self.cur.peek() else {
-            return Ok(());
+        let status = match (accept, live) {
+            (false, false) => Status::Unmatched,
+            (false, true) => Status::Matched,
+            (true, false) => Status::Accept,
+            (true, true) => Status::AcceptAndDescend,
         };
-        let kind = match t {
-            b'{' => ContainerKind::Object,
-            b'[' => ContainerKind::Array,
-            _ => {
-                // Primitive root: only `$` queries match.
-                let accepts: Vec<usize> = (0..self.rts.len())
-                    .filter(|&i| self.rts[i].path().is_empty())
-                    .collect();
-                let group = if accepts.is_empty() {
-                    Group::G2
-                } else {
-                    Group::G3
-                };
-                let span = go_over_primitive(&mut self.cur, &mut self.stats, group)?;
-                for i in accepts {
-                    self.emit(i, span)?;
-                }
-                return Ok(());
+        Joint { base, status }
+    }
+
+    /// The runtimes that can still match in the current container.
+    fn live(&self) -> impl Iterator<Item = &Runtime<'p>> {
+        let base = self.level * self.rts.len();
+        self.rts
+            .iter()
+            .zip(&self.slots[base..])
+            .filter(|(rt, slot)| !slot.done && !rt.is_unmatched())
+            .map(|(rt, _)| rt)
+    }
+}
+
+impl QuerySet for Many<'_> {
+    type Decision = Joint;
+
+    fn len(&self) -> usize {
+        self.rts.len()
+    }
+
+    fn enter_root(&mut self, kind: ContainerKind) -> Joint {
+        let d = self.decide(|rt, _| (State::UNMATCHED, rt.enter_root(kind)));
+        self.deeper();
+        d
+    }
+
+    fn primitive_root(&mut self) -> Joint {
+        self.decide(|rt, _| {
+            if rt.path().is_empty() {
+                (State::UNMATCHED, Status::Accept)
+            } else {
+                (State::UNMATCHED, Status::Unmatched)
             }
-        };
-        let statuses: Vec<Status> = self.rts.iter_mut().map(|rt| rt.enter_root(kind)).collect();
-        let any_matched = statuses.contains(&Status::Matched);
-        let start = self.cur.pos();
-        if any_matched {
-            // Pre-order: `$` queries see the whole record before any inner
-            // match another query finds during the descent.
-            let mut opened = 0usize;
-            for (i, &s) in statuses.iter().enumerate() {
-                if s == Status::Accept {
-                    self.open_pending(i, start);
-                    opened += 1;
-                }
+        })
+    }
+
+    fn on_key(&mut self, raw: &[u8]) -> Joint {
+        // A query done with this object takes no further sibling, exactly
+        // as its own G4 skip would have passed them by.
+        self.decide(|rt, slot| {
+            if slot.done {
+                (State::UNMATCHED, Status::Unmatched)
+            } else {
+                rt.value_state_for_key_raw(raw)
             }
-            self.cur.bump(); // consume the opener
-            match kind {
-                ContainerKind::Object => self.object()?,
-                ContainerKind::Array => self.array()?,
-            }
-            self.close_pending(opened, self.cur.pos())?;
-        } else {
-            let any_accept = statuses.contains(&Status::Accept);
-            let group = if any_accept { Group::G3 } else { Group::G2 };
-            match kind {
-                ContainerKind::Object => go_over_obj(&mut self.cur, &mut self.stats, group)?,
-                ContainerKind::Array => go_over_ary(&mut self.cur, &mut self.stats, group)?,
-            };
-            let end = self.cur.pos();
-            for (i, &s) in statuses.iter().enumerate() {
-                if s == Status::Accept {
-                    self.emit(i, (start, end))?;
-                }
-            }
+        })
+    }
+
+    fn on_element(&mut self, input: &[u8], pos: usize) -> Joint {
+        self.decide(|rt, _| {
+            rt.element_state_with(&mut |expr| jsonpath::filter::eval(expr, &input[pos..]))
+        })
+    }
+
+    fn status(&self, d: Joint) -> Status {
+        d.status
+    }
+
+    fn accepts(&self, d: Joint, i: usize) -> bool {
+        matches!(
+            self.slots[d.base + i].status,
+            Status::Accept | Status::AcceptAndDescend
+        )
+    }
+
+    fn enter(&mut self, kind: ContainerKind, d: Joint) {
+        for (rt, slot) in self.rts.iter_mut().zip(&self.slots[d.base..]) {
+            rt.enter(kind, slot.state);
         }
+        self.deeper();
+    }
+
+    fn exit(&mut self) {
         for rt in &mut self.rts {
             rt.exit();
         }
-        Ok(())
+        self.level -= 1;
     }
 
-    fn object(&mut self) -> Result<(), Abort> {
-        self.depth += 1;
-        self.check_guards()?;
-        let r = self.object_body();
-        self.depth -= 1;
-        r
-    }
-
-    fn object_body(&mut self) -> Result<(), Abort> {
-        // `done[i]`: query `i` cannot match any further attribute of this
-        // object. Frames are pruned on entry, so a live state here holds
-        // only object-capable positions — dead (UNMATCHED) is exactly
-        // "nothing in this object can match". A uniquely-named child match
-        // flips the flag below.
-        let mut done: Vec<bool> = self.rts.iter().map(Runtime::is_unmatched).collect();
-        loop {
-            if done.iter().all(|&d| d) {
-                // Multi-query G4: nobody can match below this point.
-                go_to_obj_end(&mut self.cur, &mut self.stats, Group::G4)?;
-                self.cur.expect(b'}', "`}`")?;
-                return Ok(());
-            }
-            let t = self.cur.peek_token("attribute or `}`")?;
-            match t {
-                b'}' => {
-                    self.cur.bump();
-                    return Ok(());
-                }
-                b',' => {
-                    self.cur.bump();
-                }
-                b'"' => {
-                    let (ns, ne) = self.cur.read_string()?;
-                    self.cur.expect(b':', "`:`")?;
-                    let raw = &self.cur.input()[ns..ne];
-                    let decisions: Vec<(State, Status)> = self
-                        .rts
-                        .iter()
-                        .map(|rt| rt.value_state_for_key_raw(raw))
-                        .collect();
-                    self.cur.skip_ws();
-                    let vb = self.cur.peek_token("attribute value")?;
-                    self.handle_value(vb, &decisions)?;
-                    for (i, (_, status)) in decisions.iter().enumerate() {
-                        // Per-state G4 legality: every live position must be
-                        // a uniquely-named child step for a match here to
-                        // preclude later sibling matches.
-                        if *status != Status::Unmatched && self.rts[i].legality().g4 {
-                            done[i] = true;
-                        }
-                    }
-                }
-                other => {
-                    return Err(Abort::Err(StreamError::Unexpected {
-                        expected: "`\"` (attribute name)",
-                        found: other,
-                        pos: self.cur.pos(),
-                    }))
-                }
-            }
+    fn increment(&mut self) {
+        for rt in &mut self.rts {
+            rt.increment();
         }
     }
 
-    fn array(&mut self) -> Result<(), Abort> {
-        self.depth += 1;
-        self.check_guards()?;
-        let r = self.array_body();
-        self.depth -= 1;
-        r
+    fn counter(&self) -> usize {
+        // Every runtime enters and leaves the same frames, so their
+        // counters agree.
+        self.rts.first().map_or(0, Runtime::counter)
     }
 
-    fn array_body(&mut self) -> Result<(), Abort> {
-        // Highest index any query can still select, for the multi-query
-        // variant of G5 (skip the array tail once every range is exhausted).
-        // `array_upper_bound` conjoins over each query's live position set:
-        // `Some(0)` for dead frames, `None` (no skip) under wildcards,
-        // filters, or descendants.
-        let upper_bounds: Vec<Option<usize>> =
-            self.rts.iter().map(Runtime::array_upper_bound).collect();
-        let hard_limit: Option<usize> = upper_bounds
-            .iter()
-            .copied()
-            .try_fold(0usize, |acc, ub| ub.map(|h| acc.max(h)));
-        loop {
-            let t = self.cur.peek_token("element or `]`")?;
-            if t == b']' {
-                self.cur.bump();
-                return Ok(());
-            }
-            let counter = self.rts[0].counter();
-            if let Some(limit) = hard_limit {
-                if counter >= limit {
-                    go_to_ary_end(&mut self.cur, &mut self.stats, Group::G5)?;
-                    self.cur.expect(b']', "`]`")?;
-                    return Ok(());
-                }
-            }
-            // Filter predicates are probed against the candidate element's
-            // bytes (`peek_token` already skipped to its first byte).
-            let input = self.cur.input();
-            let pos = self.cur.pos();
-            let decisions: Vec<(State, Status)> = self
-                .rts
-                .iter()
-                .map(|rt| {
-                    rt.element_state_with(&mut |expr| jsonpath::filter::eval(expr, &input[pos..]))
-                })
-                .collect();
-            self.handle_value(t, &decisions)?;
-            let d = self.cur.peek_token("`,` or `]`")?;
-            match d {
-                b',' => {
-                    self.cur.bump();
-                    for rt in &mut self.rts {
-                        rt.increment();
-                    }
-                }
-                b']' => {
-                    self.cur.bump();
-                    return Ok(());
-                }
-                other => {
-                    return Err(Abort::Err(StreamError::Unexpected {
-                        expected: "`,` or `]`",
-                        found: other,
-                        pos: self.cur.pos(),
-                    }))
-                }
-            }
+    fn expected_type(&self) -> Option<ExpectedType> {
+        self.live()
+            .map(|rt| rt.expected_type())
+            .fold(None, |acc, t| match (acc, t) {
+                (None, t) => t,
+                (Some(a), Some(t)) if a == t => Some(a),
+                _ => Some(ExpectedType::Unknown),
+            })
+    }
+
+    fn legality(&self) -> Legality {
+        self.live()
+            .fold(Legality::ALL, |acc, rt| acc.and(rt.legality()))
+    }
+
+    fn index_range(&self) -> Option<(usize, usize)> {
+        let mut live = self.live();
+        let first = live.next()?.index_range()?;
+        live.try_fold(first, |(lo, hi), rt| {
+            rt.index_range().map(|(l, h)| (lo.min(l), hi.max(h)))
+        })
+    }
+
+    fn open_object(&mut self) {
+        let n = self.rts.len();
+        let base = self.level * n;
+        for (rt, slot) in self.rts.iter().zip(&mut self.slots[base..base + n]) {
+            slot.done = rt.is_unmatched();
+            slot.g4 = rt.legality().g4;
         }
     }
 
-    /// Processes one value given every query's decision for it: skips it
-    /// bit-parallel when unanimous, descends when any query progresses, and
-    /// emits it to every accepting query (in pre-order: a container result
-    /// reaches the sink before anything found inside it).
-    fn handle_value(&mut self, vb: u8, decisions: &[(State, Status)]) -> Result<(), Abort> {
-        let is_container = vb == b'{' || vb == b'[';
-        let any_descend = decisions
-            .iter()
-            .any(|d| matches!(d.1, Status::Matched | Status::AcceptAndDescend));
-        let start = self.cur.pos();
-        if any_descend && is_container {
-            // Accepting queries' spans complete only after the traversal:
-            // defer them through the pending queue so they still precede
-            // the matches the descent produces.
-            let mut opened = 0usize;
-            for (i, d) in decisions.iter().enumerate() {
-                if matches!(d.1, Status::Accept | Status::AcceptAndDescend) {
-                    self.open_pending(i, start);
-                    opened += 1;
-                }
+    fn settle(&mut self, d: Joint, _: Legality) -> Settled {
+        let n = self.rts.len();
+        let (mut all, mut narrowed) = (true, false);
+        for slot in &mut self.slots[d.base..d.base + n] {
+            if !slot.done && slot.g4 && slot.status != Status::Unmatched {
+                slot.done = true;
+                narrowed = true;
             }
-            self.cur.bump();
-            let kind = if vb == b'{' {
-                ContainerKind::Object
-            } else {
-                ContainerKind::Array
-            };
-            for (i, rt) in self.rts.iter_mut().enumerate() {
-                rt.enter(kind, decisions[i].0);
-            }
-            let r = if vb == b'{' {
-                self.object()
-            } else {
-                self.array()
-            };
-            for rt in &mut self.rts {
-                rt.exit();
-            }
-            r?;
-            self.close_pending(opened, self.cur.pos())
-        } else {
-            // No query needs the interior (an `AcceptAndDescend` primitive
-            // has none): one shared skip, G3 when anyone takes the value.
-            let any_accept = decisions
-                .iter()
-                .any(|d| matches!(d.1, Status::Accept | Status::AcceptAndDescend));
-            let group = if any_accept { Group::G3 } else { Group::G2 };
-            let span = match vb {
-                b'{' => go_over_obj(&mut self.cur, &mut self.stats, group)?,
-                b'[' => go_over_ary(&mut self.cur, &mut self.stats, group)?,
-                _ => go_over_primitive(&mut self.cur, &mut self.stats, group)?,
-            };
-            for (i, d) in decisions.iter().enumerate() {
-                if matches!(d.1, Status::Accept | Status::AcceptAndDescend) {
-                    self.emit(i, span)?;
-                }
-            }
-            Ok(())
+            all &= slot.done;
+        }
+        match (all, narrowed) {
+            (true, _) => Settled::Done,
+            (false, true) => Settled::Narrowed,
+            (false, false) => Settled::Open,
         }
     }
 }
@@ -577,6 +373,7 @@ impl<'a, F: FnMut(usize, Match<'a>) -> ControlFlow<()>> MultiEval<'a, '_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Group;
 
     fn individual_counts(queries: &[&str], json: &[u8]) -> Vec<usize> {
         queries
@@ -705,12 +502,12 @@ mod tests {
 
     #[test]
     fn strict_multi_query_rejects_skipped_fault() {
-        use crate::{InvalidReason, ValidationMode};
+        use crate::InvalidReason;
         // Neither query touches "junk"; only strict validation sees it.
         let json = b"{\"junk\": \"\xFF\", \"a\": 1, \"b\": 2}";
         let mq = MultiQuery::compile(&["$.a", "$.b"]).unwrap();
         assert_eq!(mq.counts(json).unwrap(), vec![1, 1]);
-        let strict = mq.with_validation(ValidationMode::Strict);
+        let strict = mq.with_config(EngineConfig::builder().strict().build());
         match strict.counts(json) {
             Err(StreamError::Invalid {
                 pos: 10,
@@ -732,5 +529,137 @@ mod tests {
         let mq = MultiQuery::compile(&queries).unwrap();
         assert_eq!(mq.counts(json).unwrap(), vec![3, 3]);
         assert_eq!(mq.counts(json).unwrap(), individual_counts(&queries, json));
+    }
+
+    #[test]
+    fn one_query_is_the_single_engine_pass() {
+        let json = br#"{"n": 1, "s": "x", "a": [0, 1, 2, 3, {"id": 4}], "b": {"id": 5}}"#;
+        for query in ["$.a[4].id", "$.b.id", "$.a[1:3]", "$..id"] {
+            let mut got = Vec::new();
+            let multi = MultiQuery::compile(&[query])
+                .unwrap()
+                .stream(json, |_, m| {
+                    got.push(m.span());
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+            let mut want = Vec::new();
+            let single = crate::JsonSki::compile(query)
+                .unwrap()
+                .stream(json, |m| {
+                    want.push(m.span());
+                    ControlFlow::Continue(())
+                })
+                .unwrap();
+            assert_eq!(got, want, "{query}");
+            for g in Group::ALL {
+                assert_eq!(
+                    multi.stats.skipped(g),
+                    single.stats.skipped(g),
+                    "{query} {g:?}"
+                );
+            }
+            assert_eq!(multi.words_classified, single.words_classified, "{query}");
+        }
+    }
+
+    #[test]
+    fn g1_seeks_when_every_live_query_expects_the_same_type() {
+        let json = br#"{"p": 1, "q": "skip", "a": {"x": 1}, "r": [2], "b": {"y": 2}}"#;
+        let stats = MultiQuery::compile(&["$.a.x", "$.b.y"])
+            .unwrap()
+            .run(json, |_, _| {})
+            .unwrap();
+        assert!(stats.skipped(Group::G1) > 0, "{stats}");
+        // A live query whose match may be any value turns the seek off.
+        let stats = MultiQuery::compile(&["$.a.x", "$.r"])
+            .unwrap()
+            .run(json, |_, _| {})
+            .unwrap();
+        assert_eq!(stats.skipped(Group::G1), 0, "{stats}");
+        // Once that query is done with the object, the rest is sought.
+        let mut got = vec![Vec::new(); 2];
+        let stats = MultiQuery::compile(&["$.a.x", "$.p"])
+            .unwrap()
+            .run(json, |i, m| got[i].push(m.bytes().to_vec()))
+            .unwrap();
+        assert_eq!(got, [vec![b"1".to_vec()], vec![b"1".to_vec()]]);
+        assert_eq!(
+            stats.skipped(Group::G1),
+            br#" "q": "skip","#.len() as u64,
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn g5_prefix_skip_covers_the_union_of_ranges() {
+        let json = br#"{"a": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]}"#;
+        let mq = MultiQuery::compile(&["$.a[4]", "$.a[6:8]"]).unwrap();
+        let mut got = vec![Vec::new(); 2];
+        let stats = mq
+            .run(json, |i, m| got[i].push(m.bytes().to_vec()))
+            .unwrap();
+        assert_eq!(
+            got,
+            [vec![b"4".to_vec()], vec![b"6".to_vec(), b"7".to_vec()]]
+        );
+        // Elements 0..4 go by the prefix skip, 8.. by the tail skip, and
+        // only element 5 (between the ranges) is a G2 skip.
+        assert_eq!(stats.skipped(Group::G2), 1, "{stats}");
+        assert!(stats.skipped(Group::G5) > 0, "{stats}");
+    }
+
+    #[test]
+    fn g4_once_every_query_is_done() {
+        let json = br#"{"a": 1, "b": 2, "c": {"deep": [1, 2, 3]}}"#;
+        let mq = MultiQuery::compile(&["$.a", "$.b"]).unwrap();
+        assert!(mq.run(json, |_, _| {}).unwrap().skipped(Group::G4) > 0);
+        // A wildcard is never done, so the object is scanned to its end.
+        let mq = MultiQuery::compile(&["$.a", "$.*"]).unwrap();
+        assert_eq!(mq.run(json, |_, _| {}).unwrap().skipped(Group::G4), 0);
+    }
+
+    #[test]
+    fn done_query_takes_no_later_sibling() {
+        // Duplicate names are outside the data model, but a query done with
+        // an object must still see exactly what its own G4 skip leaves.
+        let json = br#"{"a": 1, "a": 2, "b": 3}"#;
+        let mut got = vec![Vec::new(); 2];
+        MultiQuery::compile(&["$.a", "$.b"])
+            .unwrap()
+            .run(json, |i, m| got[i].push(m.bytes().to_vec()))
+            .unwrap();
+        let own = crate::JsonSki::compile("$.a")
+            .unwrap()
+            .matches(json)
+            .unwrap();
+        assert_eq!(
+            got[0],
+            own.iter().map(|m| m.as_raw().to_vec()).collect::<Vec<_>>()
+        );
+        assert_eq!(got[1], vec![b"3".to_vec()]);
+    }
+
+    #[test]
+    fn ablation_switches_apply_to_the_shared_pass() {
+        let json = br#"{"p": 1, "a": {"x": [0, 1, 2, 3]}, "b": {"y": 2}, "z": [1]}"#;
+        let queries = ["$.a.x[2]", "$.b.y"];
+        let all = MultiQuery::compile(&queries).unwrap();
+        let stats = all.run(json, |_, _| {}).unwrap();
+        for g in [Group::G1, Group::G4, Group::G5] {
+            assert!(stats.skipped(g) > 0, "{g:?}: {stats}");
+        }
+        let none = all.with_config(
+            EngineConfig::builder()
+                .disable_g1()
+                .disable_g4()
+                .disable_g5()
+                .build(),
+        );
+        let stats = none.run(json, |_, _| {}).unwrap();
+        for g in [Group::G1, Group::G4, Group::G5] {
+            assert_eq!(stats.skipped(g), 0, "{g:?}: {stats}");
+        }
+        assert_eq!(none.counts(json).unwrap(), vec![1, 1]);
     }
 }

@@ -5,14 +5,8 @@
 //! both its large-record and small-records form, each Table 5 query and
 //! every supported kernel, all three must report the same match spans, the
 //! same per-group fast-forward bytes (G1–G5) and the same
-//! `words_classified`.
-//!
-//! The multi-query pass runs no G1 seek, so it can classify fewer words
-//! and accounts those skips to other groups. It also accounts array
-//! elements before a slice's start as G2 where the single-query engine
-//! uses G5. Its reference is therefore the single-query engine with G1
-//! disabled: the same spans, `words_classified`, G3 and G4, and the same
-//! G2 + G5 total.
+//! `words_classified`. The family's two queries in one `MultiQuery` must
+//! deliver, per query and in order, the spans of that query's own run.
 
 use std::ops::ControlFlow;
 
@@ -43,15 +37,20 @@ fn single(engine: &JsonSki, record: &[u8], prebuilt: Option<&[BlockBitmaps]>) ->
     report(spans, outcome.stats, outcome.words_classified)
 }
 
-fn multi(multi: &MultiQuery, record: &[u8]) -> Report {
+/// Streams `record` through `multi`: the report over all matches, and
+/// each query's spans apart.
+fn multi(multi: &MultiQuery, record: &[u8]) -> (Report, Vec<Vec<(usize, usize)>>) {
     let mut spans = Vec::new();
+    let mut per_query = vec![Vec::new(); multi.paths().len()];
     let outcome = multi
-        .stream(record, |_, m| {
+        .stream(record, |i, m| {
             spans.push(m.span());
+            per_query[i].push(m.span());
             ControlFlow::Continue(())
         })
         .unwrap_or_else(|e| panic!("{e}"));
-    report(spans, outcome.stats, outcome.words_classified)
+    let report = report(spans, outcome.stats, outcome.words_classified);
+    (report, per_query)
 }
 
 fn report(spans: Vec<(usize, usize)>, stats: FastForwardStats, words_classified: usize) -> Report {
@@ -82,35 +81,34 @@ fn live_prebuilt_and_multi_agree_on_every_family_query_and_kernel() {
             ("large", family.generate_large(&cfg)),
             ("small", family.generate_small(&cfg)),
         ] {
-            for (id, query) in family.queries() {
-                for &kernel in Kernel::all().iter().filter(|k| k.is_supported()) {
-                    let config = EngineConfig::builder().kernel(Some(kernel));
-                    let engine = JsonSki::compile(query).unwrap().with_config(config.build());
-                    let no_g1 = JsonSki::compile(query)
-                        .unwrap()
-                        .with_config(config.disable_g1().build());
-                    let shared = MultiQuery::compile(&[query])
-                        .unwrap()
-                        .with_kernel(Some(kernel));
-                    for (r, record) in data.iter().enumerate() {
-                        let ctx = format!("{} {form} {id} {kernel:?} record {r}", family.name());
-                        let live = single(&engine, record, None);
-                        let pre = lanes(record, kernel);
-                        let prebuilt = single(&engine, record, Some(&pre));
+            for &kernel in Kernel::all().iter().filter(|k| k.is_supported()) {
+                let config = EngineConfig::builder().kernel(Some(kernel)).build();
+                let queries = family.queries();
+                let engines =
+                    queries.map(|(_, q)| JsonSki::compile(q).unwrap().with_config(config));
+                let shared =
+                    queries.map(|(_, q)| MultiQuery::compile(&[q]).unwrap().with_config(config));
+                let pair = MultiQuery::compile(&queries.map(|(_, q)| q))
+                    .unwrap()
+                    .with_config(config);
+                for (r, record) in data.iter().enumerate() {
+                    let ctx = format!("{} {form} {kernel:?} record {r}", family.name());
+                    let pre = lanes(record, kernel);
+                    let mut want = Vec::new();
+                    for (q, (id, _)) in queries.iter().enumerate() {
+                        let ctx = format!("{ctx} {id}");
+                        let live = single(&engines[q], record, None);
+                        let prebuilt = single(&engines[q], record, Some(&pre));
                         assert_eq!(prebuilt, live, "{ctx}: prebuilt vs live");
-
-                        let got = multi(&shared, record);
-                        let plain = single(&no_g1, record, None);
-                        assert_eq!(got.spans, live.spans, "{ctx}: multi vs live");
-                        let [g1, g2, g3, g4, g5] = got.skipped;
-                        let [p1, p2, p3, p4, p5] = plain.skipped;
-                        assert_eq!(
-                            (g1, g2 + g5, g3, g4, got.words_classified),
-                            (p1, p2 + p5, p3, p4, plain.words_classified),
-                            "{ctx}: multi vs live without G1"
-                        );
+                        assert_eq!(multi(&shared[q], record).0, live, "{ctx}: multi vs live");
+                        want.push(live.spans);
                         checked += 1;
                     }
+                    assert_eq!(
+                        multi(&pair, record).1,
+                        want,
+                        "{ctx}: family pair vs own runs"
+                    );
                 }
             }
         }

@@ -474,30 +474,6 @@ impl<'p> Runtime<'p> {
         Some((lo, hi))
     }
 
-    /// For an array frame: the exclusive upper bound on element indices
-    /// that could still change the automaton's state, or `None` when
-    /// unbounded. `Some(0)` means the frame is dead (UNMATCHED).
-    ///
-    /// Unlike [`Runtime::index_range`] this is meaningful for dead frames,
-    /// which is what [`jsonski::MultiQuery`]-style engines need to compute a
-    /// joint skip bound across several automata.
-    ///
-    /// [`jsonski::MultiQuery`]: https://docs.rs/jsonski
-    pub fn array_upper_bound(&self) -> Option<usize> {
-        let set = self.top().state;
-        if set.is_unmatched() {
-            return Some(0);
-        }
-        let mut hi = 0usize;
-        for k in positions(set.0) {
-            match self.path.steps()[k].index_range() {
-                Some((_, h)) => hi = hi.max(h),
-                None => return None,
-            }
-        }
-        Some(hi)
-    }
-
     /// Whether the current container's state is the UNMATCHED sink.
     pub fn is_unmatched(&self) -> bool {
         self.top().state.is_unmatched()
@@ -581,7 +557,6 @@ mod tests {
         let (st, _) = rt.value_state_for_key("a");
         rt.enter(ContainerKind::Array, st);
         assert_eq!(rt.index_range(), Some((2, 4)));
-        assert_eq!(rt.array_upper_bound(), Some(4));
         assert_eq!(rt.element_state().1, Status::Unmatched); // idx 0
         rt.increment();
         assert_eq!(rt.element_state().1, Status::Unmatched); // idx 1
@@ -678,7 +653,6 @@ mod tests {
         let mut rt = Runtime::new(&p);
         rt.enter_root(ContainerKind::Array);
         assert_eq!(rt.index_range(), Some((1, 5)));
-        assert_eq!(rt.array_upper_bound(), Some(5));
         assert_eq!(rt.element_state().1, Status::Unmatched); // 0
         rt.increment();
         assert_eq!(rt.element_state().1, Status::Accept); // 1
@@ -708,7 +682,6 @@ mod tests {
         let (st2, status) = rt.value_state_for_key("zzz");
         assert_eq!(status, Status::Matched);
         rt.enter(ContainerKind::Array, st2);
-        assert_eq!(rt.array_upper_bound(), None); // unbounded under `..`
         rt.exit();
         rt.exit();
         rt.exit();
@@ -753,7 +726,6 @@ mod tests {
         // The probe-less variant treats filters as non-matching.
         assert_eq!(rt.element_state().1, Status::Unmatched);
         assert_eq!(rt.index_range(), None);
-        assert_eq!(rt.array_upper_bound(), None);
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!   it reports one (token-level garbage outside Strict's scope may still
 //!   surface as a structural error — that asymmetry is documented, not a
 //!   divergence).
+//!
+//! Every case also runs a `MultiQuery` of two or three queries, in both
+//! modes and under every kernel: on valid documents each query's match
+//! stream must equal its own `JsonSki` run, on labeled faults Strict must
+//! report the injected verdict, and on every case the outcome must be
+//! kernel-invariant.
 #![cfg(feature = "faults")]
 
 use std::ops::ControlFlow;
@@ -22,7 +28,7 @@ use std::ops::ControlFlow;
 use jsonski_repro::jsonpath::Path;
 use jsonski_repro::jsonski::fuzz::{self, CaseLabel};
 use jsonski_repro::jsonski::{
-    validate_record, EngineConfig, EngineError, Evaluate, JsonSki, Kernel, MatchSink,
+    validate_record, EngineConfig, EngineError, Evaluate, JsonSki, Kernel, MatchSink, MultiQuery,
     RecordOutcome, StreamError, ValidationMode,
 };
 
@@ -218,6 +224,56 @@ fn check_record(bytes: &[u8], label: CaseLabel, query: &str, check_kernels: bool
     }
 }
 
+/// The multi-query oracle: `queries` share one `MultiQuery` pass in both
+/// modes and under every supported kernel.
+fn check_multi(bytes: &[u8], label: CaseLabel, queries: &[&str], ctx: &str) {
+    for strict_mode in [false, true] {
+        let mut reference = None;
+        for &k in Kernel::all().iter().filter(|k| k.is_supported()) {
+            let mut builder = EngineConfig::builder().kernel(Some(k));
+            if strict_mode {
+                builder = builder.strict();
+            }
+            let config = builder.build();
+            let ctx = format!("{ctx}: multi {queries:?} kernel {k:?} strict={strict_mode}");
+            let mut got = vec![Vec::new(); queries.len()];
+            let result = MultiQuery::compile(queries)
+                .unwrap()
+                .with_config(config)
+                .run(bytes, |i, m| got[i].push(m.bytes().to_vec()));
+            match label {
+                CaseLabel::Valid => {
+                    assert!(result.is_ok(), "{ctx}: rejected a valid document");
+                    for (i, q) in queries.iter().enumerate() {
+                        let own: Vec<Vec<u8>> = JsonSki::compile(q)
+                            .unwrap()
+                            .with_config(config)
+                            .matches(bytes)
+                            .unwrap()
+                            .into_iter()
+                            .map(|m| m.as_raw().to_vec())
+                            .collect();
+                        assert_eq!(got[i], own, "{ctx}: query {q} vs its own run");
+                    }
+                }
+                CaseLabel::Fault { reason, offset } if strict_mode => match &result {
+                    Err(StreamError::Invalid { pos, reason: r }) => {
+                        assert_eq!((*pos, *r), (offset, reason), "{ctx}: verdict")
+                    }
+                    other => panic!("{ctx}: expected Invalid at {offset}, got {other:?}"),
+                },
+                _ => {}
+            }
+            // Kernel invariance is unconditional, as for the single engine.
+            let verdict = result.map(|_| got).map_err(|e| e.to_string());
+            match &reference {
+                None => reference = Some(verdict),
+                Some(r) => assert_eq!(&verdict, r, "{ctx}: diverges across kernels"),
+            }
+        }
+    }
+}
+
 #[test]
 fn fuzz_smoke_differential() {
     // Fixed-seed budget: ≥10k documents through the full oracle. The
@@ -243,13 +299,16 @@ fn fuzz_smoke_differential() {
         } else {
             QUERIES[(seed / 2 % QUERIES.len() as u64) as usize]
         };
-        check_record(
-            &case.bytes,
-            case.label,
-            query,
-            seed % 5 == 0,
-            &format!("seed {seed}"),
-        );
+        let ctx = format!("seed {seed}");
+        check_record(&case.bytes, case.label, query, seed % 5 == 0, &ctx);
+        // The multi-query set: this case's query, a fixed one from another
+        // rotation, and on every third seed a second generated query.
+        let extra = fuzz::QueryGen::new(seed + CASES).query();
+        let mut set = vec![query, QUERIES[(seed * 7 % QUERIES.len() as u64) as usize]];
+        if seed % 3 == 0 {
+            set.push(extra.as_str());
+        }
+        check_multi(&case.bytes, case.label, &set, &ctx);
     }
     // The case mix must actually exercise all three oracle arms.
     assert!(valid > CASES / 5, "only {valid} valid cases");

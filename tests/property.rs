@@ -261,13 +261,15 @@ proptest! {
         let record = doc.as_bytes();
         let queries = [q1.as_str(), q2.as_str(), q3.as_str()];
         let mq = jsonski_repro::jsonski::MultiQuery::compile(&queries).unwrap();
-        let got = mq.counts(record).unwrap();
+        let mut got = vec![Vec::new(); queries.len()];
+        mq.run(record, |i, m| got[i].push(m.span())).unwrap();
         for (i, q) in queries.iter().enumerate() {
-            let single = jsonski_repro::jsonski::JsonSki::compile(q)
+            let mut single = Vec::new();
+            jsonski_repro::jsonski::JsonSki::compile(q)
                 .unwrap()
-                .count(record)
+                .run(record, |m| single.push(m.span()))
                 .unwrap();
-            prop_assert_eq!(got[i], single, "doc={} q={}", doc, q);
+            prop_assert_eq!(&got[i], &single, "doc={} q={}", doc, q);
         }
     }
 
