@@ -31,7 +31,7 @@ pub const EXIT_SKIPPED: u8 = 3;
 pub enum CliError {
     /// Bad flags, arguments, or query syntax (exit 1).
     Usage(String),
-    /// `--help` was requested (exit 0; the caller prints [`USAGE`]).
+    /// `--help` was requested (exit 0; the caller prints [`usage`]).
     Help,
     /// Reading the input or writing the output failed (exit 1).
     Io(String),
@@ -54,7 +54,7 @@ impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::Usage(m) | CliError::Io(m) | CliError::Fatal(m) => f.write_str(m),
-            CliError::Help => f.write_str(USAGE),
+            CliError::Help => f.write_str(&usage()),
         }
     }
 }
@@ -394,8 +394,13 @@ impl Options {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// Usage text, with the kernel list of this build.
+pub fn usage() -> String {
+    USAGE_TEMPLATE.replace("{kernels}", &kernel_names())
+}
+
+/// [`usage`] before the kernel list is filled in.
+const USAGE_TEMPLATE: &str = "\
 usage: jsonski [OPTIONS] QUERY [QUERY...] [FILE]
        jsonski serve [OPTIONS]        (see `jsonski serve --help`)
 
@@ -432,10 +437,10 @@ options:
                      structure, and trailing garbage; the first violation
                      aborts the record with its byte offset (skippable with
                      --skip-malformed)
-      --kernel NAME  force the bitmap classification kernel (scalar, swar,
-                     sse2, avx2) instead of auto-detecting the best one;
-                     errors if this CPU does not support NAME. Equivalent
-                     to setting JSONSKI_KERNEL=NAME
+      --kernel NAME  force the bitmap classification kernel (one of:
+                     {kernels}) instead of auto-detecting the best
+                     one; errors if this CPU does not support NAME.
+                     Equivalent to setting JSONSKI_KERNEL=NAME
       --retry N      retry transient stream errors (would-block/timed-out)
                      up to N times per read before giving up
       --checkpoint PATH
@@ -476,6 +481,25 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Cl
 }
 
 const HELP_SENTINEL: &str = "\u{1}help";
+
+/// The names of the kernels compiled into this build, comma-separated,
+/// for the help and error text of `--kernel`.
+fn kernel_names() -> String {
+    let names: Vec<&str> = Kernel::all().iter().map(|k| k.name()).collect();
+    names.join(", ")
+}
+
+/// Parses the value of a `--kernel` flag: a kernel of this build that this
+/// CPU supports.
+pub(crate) fn parse_kernel(name: Option<String>) -> Result<Kernel, String> {
+    let name = name.ok_or_else(|| format!("--kernel needs a name ({})", kernel_names()))?;
+    let k = Kernel::from_name(&name)
+        .ok_or_else(|| format!("unknown kernel: {name} ({})", kernel_names()))?;
+    if !k.is_supported() {
+        return Err(format!("kernel {name} is not supported on this CPU"));
+    }
+    Ok(k)
+}
 
 fn parse_args_inner<I: IntoIterator<Item = String>>(args: I) -> Result<Options, String> {
     let mut positional: Vec<String> = Vec::new();
@@ -576,20 +600,10 @@ fn parse_args_inner<I: IntoIterator<Item = String>>(args: I) -> Result<Options, 
             }
             "--resume" => opts.resume = true,
             "--strict" => opts.validation = ValidationMode::Strict,
-            "--kernel" => {
-                let v = it
-                    .next()
-                    .ok_or("--kernel needs a name (scalar, swar, sse2, avx2)")?;
-                let k = Kernel::from_name(&v)
-                    .ok_or_else(|| format!("unknown kernel: {v} (scalar, swar, sse2, avx2)"))?;
-                if !k.is_supported() {
-                    return Err(format!("kernel {v} is not supported on this CPU"));
-                }
-                opts.kernel = Some(k);
-            }
+            "--kernel" => opts.kernel = Some(parse_kernel(it.next())?),
             "-h" | "--help" => return Err(HELP_SENTINEL.to_string()),
             flag if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(format!("unknown option: {flag}\n\n{USAGE}"));
+                return Err(format!("unknown option: {flag}\n\n{}", usage()));
             }
             _ => positional.push(arg),
         }
@@ -606,7 +620,7 @@ fn parse_args_inner<I: IntoIterator<Item = String>>(args: I) -> Result<Options, 
         }
     }
     if opts.queries.is_empty() {
-        return Err(format!("no query given\n\n{USAGE}"));
+        return Err(format!("no query given\n\n{}", usage()));
     }
     if opts.resume && opts.checkpoint.is_none() {
         return Err("--resume needs --checkpoint".into());

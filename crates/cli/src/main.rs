@@ -1,6 +1,6 @@
 //! `jsonski` — stream JSONPath matches from files or stdin.
 //!
-//! Exit codes (documented in [`jsonski_cli::USAGE`] and the README):
+//! Exit codes (documented in [`jsonski_cli::usage`] and the README):
 //! `0` success, `1` usage or I/O error, `2` fatal evaluation error under
 //! fail-fast, `3` completed but skipped malformed records, `130` cancelled
 //! by SIGINT/SIGTERM after a graceful drain.
@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use jsonski::CancellationToken;
-use jsonski_cli::{CliError, InputIdentity, Options, RunControls, RunReport, USAGE};
+use jsonski_cli::{usage, CliError, InputIdentity, Options, RunControls, RunReport};
 
 fn main() -> ExitCode {
     // `jsonski serve …` is a separate mode with its own flags, signal
@@ -26,7 +26,7 @@ fn main() -> ExitCode {
                 }
             },
             Err(CliError::Help) => {
-                let _ = writeln!(std::io::stdout(), "{}", jsonski_cli::serve::SERVE_USAGE);
+                let _ = writeln!(std::io::stdout(), "{}", jsonski_cli::serve::serve_usage());
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
         Err(CliError::Help) => {
             // Not println!: piping help through `head` closes stdout early,
             // and an EPIPE must not panic.
-            let _ = writeln!(std::io::stdout(), "{USAGE}");
+            let _ = writeln!(std::io::stdout(), "{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(e) => {

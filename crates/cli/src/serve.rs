@@ -13,8 +13,13 @@ use crate::{CliError, EXIT_CANCELLED};
 /// given.
 pub const DEFAULT_LISTEN: &str = "127.0.0.1:9649";
 
-/// Help text for `jsonski serve`.
-pub const SERVE_USAGE: &str = "\
+/// Help text for `jsonski serve`, with the kernel list of this build.
+pub fn serve_usage() -> String {
+    SERVE_USAGE_TEMPLATE.replace("{kernels}", &crate::kernel_names())
+}
+
+/// [`serve_usage`] before the kernel list is filled in.
+const SERVE_USAGE_TEMPLATE: &str = "\
 usage: jsonski serve [OPTIONS]
 
 Runs a long-lived query-service daemon. Clients speak a length-prefixed
@@ -90,8 +95,8 @@ options:
                      the request with 422
   --strict           validate request bodies byte-for-byte (UTF-8, escape
                      grammar, balanced structure) — see `jsonski --help`
-  --kernel NAME      force the bitmap classification kernel (scalar,
-                     swar, sse2, avx2); JSONSKI_KERNEL overrides
+  --kernel NAME      force the bitmap classification kernel (one of:
+                     {kernels}); JSONSKI_KERNEL overrides
   --max-record-bytes N
                      reject body records larger than N bytes
   --max-depth N      reject body records nested deeper than N containers
@@ -193,33 +198,30 @@ fn parse_inner<I: IntoIterator<Item = String>>(args: I) -> Result<ServeOptions, 
             "--metrics-endpoint" => opts.config.metrics_endpoint = true,
             "--skip-malformed" => opts.config.error_policy = ErrorPolicy::SkipMalformed,
             "--strict" => validation = ValidationMode::Strict,
-            "--kernel" => {
-                let v = it
-                    .next()
-                    .ok_or("--kernel needs a name (scalar, swar, sse2, avx2)")?;
-                let k = Kernel::from_name(&v)
-                    .ok_or_else(|| format!("unknown kernel: {v} (scalar, swar, sse2, avx2)"))?;
-                if !k.is_supported() {
-                    return Err(format!("kernel {v} is not supported on this CPU"));
-                }
-                kernel = Some(k);
-            }
+            "--kernel" => kernel = Some(crate::parse_kernel(it.next())?),
             "--max-record-bytes" => {
                 limits = limits.max_record_bytes(num("--max-record-bytes")?.max(1) as usize)
             }
             "--max-depth" => limits = limits.max_depth(num("--max-depth")?.max(1) as usize),
             "-h" | "--help" => return Err("\u{1}help".to_string()),
-            other => return Err(format!("unknown serve option: {other}\n\n{SERVE_USAGE}")),
+            other => {
+                return Err(format!(
+                    "unknown serve option: {other}\n\n{}",
+                    serve_usage()
+                ))
+            }
         }
     }
     if opts.config.index_cache.is_some() && opts.config.corpus_dir.is_none() {
         return Err(format!(
-            "--index-cache requires --corpus-dir\n\n{SERVE_USAGE}"
+            "--index-cache requires --corpus-dir\n\n{}",
+            serve_usage()
         ));
     }
     if opts.config.index_warm && opts.config.corpus_dir.is_none() {
         return Err(format!(
-            "--index-warm requires --corpus-dir\n\n{SERVE_USAGE}"
+            "--index-warm requires --corpus-dir\n\n{}",
+            serve_usage()
         ));
     }
     opts.config.engine_config = EngineConfig::builder()

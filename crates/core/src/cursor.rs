@@ -2,12 +2,21 @@
 //! bit-parallel word cache.
 //!
 //! The cursor embodies the paper's streaming discipline (Section 4.1): the
-//! input is classified one 64-byte word at a time, in order, and only the
-//! *current* word's bitmaps are retained — "an interval bitmap should be
-//! constructed after the prior one has been used and destroyed". Fast-forward
-//! functions advance the position by scanning words forward; no global index
-//! is ever materialized, which is what keeps JSONSki's memory footprint at
-//! the input buffer size (Figure 13).
+//! input is classified in order, and only a fixed, small amount of bitmaps
+//! is ever retained — "an interval bitmap should be constructed after the
+//! prior one has been used and destroyed". Fast-forward functions advance
+//! the position by scanning words forward; no global index is ever
+//! materialized, which is what keeps JSONSki's memory footprint at the
+//! input buffer size (Figure 13).
+//!
+//! A live cursor classifies ahead in a fixed window of 16 words
+//! (`WINDOW`): one [`Classifier::classify_many`] call fills it, so the kernel
+//! is chosen once per batch and one word's serial string-state chain
+//! overlaps the next word's compares (the same trick as simdjson's
+//! stage 1). At most 16 words (1 KiB of input) of bitmaps are retained —
+//! still O(1) in the input size. Classification ahead of the position is
+//! invisible to callers: [`Cursor::words_classified`] counts only the
+//! words actually reached.
 //!
 //! # Word access
 //!
@@ -20,13 +29,17 @@
 //!    request for any later word reads that word's lanes directly; the
 //!    words in between need no work, because prebuilt lanes carry no
 //!    string state.
-//! 3. **Live next word.** Without a validator, a request for the next
-//!    full 64-byte word classifies it in place.
-//! 4. **Slow path** (out of line): everything else — strict mode, the
-//!    zero-padded tail word, a forward skip over live words (whose string
-//!    state must be carried through every word in between), and a rewind.
-//!    It keeps the streaming-violation assert and feeds the strict
-//!    validator every word in classification order.
+//! 3. **Window word.** Without a validator, a request for any later word
+//!    already in the live window reads it from there; a forward skip
+//!    inside the window costs nothing per word.
+//! 4. **Slow path** (out of line): everything else. A live request past
+//!    the window refills it, batch after batch, until the word is in it
+//!    (a skip past the window still classifies every word in between,
+//!    since string state must be carried through them, but a batch at a
+//!    time). Strict mode classifies one word at a time and feeds the
+//!    validator every word in classification order; a prebuilt cursor
+//!    with a validator reads each lane in order for the same reason. A
+//!    rewind panics (the streaming-violation assert).
 //!
 //! The scanning primitives (pairing, next-bit search, the batched
 //! primitive skip and the G1 attribute seek) are written once, generic
@@ -40,6 +53,10 @@ use simdbits::{bits, BlockBitmaps, Classifier, Kernel, BLOCK};
 use crate::error::StreamError;
 use crate::validate::{ValidationMode, Validator};
 
+/// Words a live cursor classifies per batch and retains ahead of its
+/// position (see the module docs).
+const WINDOW: usize = 16;
+
 /// Forward-only streaming cursor over a JSON byte buffer.
 #[derive(Clone, Debug)]
 pub struct Cursor<'a> {
@@ -51,6 +68,14 @@ pub struct Cursor<'a> {
     /// classifier).
     cur: BlockBitmaps,
     classified: usize,
+    /// The live window: `window[..win_end - win_start]` holds words
+    /// `win_start..win_end`, classified ahead (the classifier's string
+    /// state stands at the end of word `win_end - 1`). Allocated by the
+    /// first refill, so a cursor with a validator or a prebuilt index,
+    /// which never refills, carries and copies only the pointer.
+    window: Option<Box<[BlockBitmaps; WINDOW]>>,
+    win_start: usize,
+    win_end: usize,
     /// Strict-mode validator riding the word iterator: every word fed
     /// through [`Cursor::word`] is validated in classification order, so
     /// fast-forwarded spans are checked without a second pass. `None` in
@@ -102,6 +127,9 @@ impl<'a> Cursor<'a> {
             cls,
             cur: BlockBitmaps::default(),
             classified: 0,
+            window: None,
+            win_start: 0,
+            win_end: 0,
             validator,
             prebuilt: None,
             #[cfg(feature = "metrics")]
@@ -328,30 +356,26 @@ impl<'a> Cursor<'a> {
                 self.classified = idx + 1;
                 return self.cur;
             }
-            let start = idx * BLOCK;
-            if idx == self.classified && start + BLOCK <= self.input.len() {
-                #[cfg(feature = "metrics")]
-                let t0 = std::time::Instant::now();
-                let block: &[u8; BLOCK] = self.input[start..start + BLOCK]
-                    .try_into()
-                    .expect("exact block");
-                self.cur = self.cls.classify(block);
-                self.classified += 1;
-                #[cfg(feature = "metrics")]
-                {
-                    self.classify_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            match &self.window {
+                // Words `classified..win_end` are windowed, and
+                // `win_start <= classified` (a refill starts the window at
+                // or before the word it was filled for).
+                Some(window) if idx < self.win_end => {
+                    self.cur = window[idx - self.win_start];
+                    self.classified = idx + 1;
+                    return self.cur;
                 }
-                return self.cur;
+                _ => {}
             }
         }
         self.word_slow(idx);
         self.cur
     }
 
-    /// [`Cursor::word`]'s out-of-line path: strict mode, the short tail
-    /// word, forward skips over live words, and rewinds (which panic).
-    /// Leaves word `idx` current; returning nothing keeps the 64-byte
-    /// bitmaps out of the call's return path.
+    /// [`Cursor::word`]'s out-of-line path: live words past the window,
+    /// strict mode, prebuilt lanes read in order for a validator, and
+    /// rewinds (which panic). Leaves word `idx` current; returning nothing
+    /// keeps the 64-byte bitmaps out of the call's return path.
     #[inline(never)]
     fn word_slow(&mut self, idx: usize) {
         assert!(
@@ -365,6 +389,16 @@ impl<'a> Cursor<'a> {
         }
         #[cfg(feature = "metrics")]
         let t0 = (self.classified <= idx).then(std::time::Instant::now);
+        if self.validator.is_none() && self.prebuilt.is_none() {
+            // Windowed words are taken as they are; only words past the
+            // window are classified, a batch at a time.
+            while self.win_end <= idx {
+                self.refill(idx);
+            }
+            let window = self.window.as_ref().expect("a refill allocates the window");
+            self.cur = window[idx - self.win_start];
+            self.classified = idx + 1;
+        }
         while self.classified <= idx {
             let start = self.classified * BLOCK;
             assert!(start < self.input.len(), "word {idx} out of range");
@@ -402,6 +436,33 @@ impl<'a> Cursor<'a> {
         if let Some(t0) = t0 {
             self.classify_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
+    }
+
+    /// Classifies the next batch of live words, up to `WINDOW` of them
+    /// including the zero-padded tail word, into the window, which then
+    /// starts at the old window's end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window already reaches the end of the input (word
+    /// `idx`, the word being sought, is then out of range).
+    fn refill(&mut self, idx: usize) {
+        let start = self.win_end * BLOCK;
+        assert!(start < self.input.len(), "word {idx} out of range");
+        let (full, tail) = self.input[start..].as_chunks::<BLOCK>();
+        let n = full.len().min(WINDOW);
+        let window = self
+            .window
+            .get_or_insert_with(|| Box::new([BlockBitmaps::default(); WINDOW]));
+        self.cls.classify_many(&full[..n], &mut window[..n]);
+        let mut filled = n;
+        if n < WINDOW && !tail.is_empty() {
+            // `full` ran out before the window did: the tail follows it.
+            window[n] = self.cls.classify_tail(tail);
+            filled += 1;
+        }
+        self.win_start = self.win_end;
+        self.win_end += filled;
     }
 
     /// The prebuilt lanes, when a scan may walk them directly: only with no
@@ -1008,6 +1069,44 @@ mod proptests {
             .boxed()
     }
 
+    /// Documents for the window tests: a root array of nested values and
+    /// long strings (brackets, braces and escaped quotes inside strings
+    /// straddle word and window boundaries), from empty to past three
+    /// windows, optionally cut short to end mid-value.
+    fn window_doc() -> BoxedStrategy<Vec<u8>> {
+        let long_string = prop::collection::vec(
+            prop_oneof![
+                Just("x"),
+                Just("{["),
+                Just("]}"),
+                Just("\\\""),
+                Just("\\\\")
+            ],
+            0..200,
+        )
+        .prop_map(|parts| format!("\"{}\"", parts.concat()));
+        let value = prop_oneof![3 => json_value(4), 1 => long_string];
+        (
+            prop::collection::vec(value, 0..40),
+            0usize..4,
+            0usize..BLOCK,
+        )
+            .prop_map(|(values, shape, cut)| {
+                let text = match shape {
+                    0 => String::new(),
+                    _ => format!("[{}]", values.join(", ")),
+                };
+                let mut bytes = text.into_bytes();
+                // Lengths span 0–3 windows plus a short tail.
+                bytes.truncate(3 * WINDOW * BLOCK + BLOCK);
+                if shape == 3 {
+                    bytes.truncate(bytes.len().saturating_sub(cut));
+                }
+                bytes
+            })
+            .boxed()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -1070,6 +1169,49 @@ mod proptests {
                 (None, false) => 0,
             };
             prop_assert_eq!(lanes.reached, reached);
+        }
+
+        #[test]
+        fn live_window_and_prebuilt_cursors_agree(
+            doc in window_doc(),
+            ops in prop::collection::vec((0u8..2, 0usize..1200, 0u8..4, 1u32..3), 1..12),
+        ) {
+            // Random skips move the position up to ~19 words at a time,
+            // so scans start inside, at the edge of and past the window.
+            let bytes = &doc[..];
+            let len = bytes.len();
+            let mut pre = Vec::new();
+            simdbits::classify_stream(&mut Classifier::new(), bytes, |_, bm| pre.push(bm));
+            let mut live = Cursor::new(bytes);
+            let mut built = Cursor::with_prebuilt(bytes, &pre, None, ValidationMode::Permissive);
+            prop_assert!(built.uses_prebuilt());
+            for (kind, skip, sel, depth) in ops {
+                let from = live.pos() + skip;
+                let got = if kind == 0 {
+                    let lane = match sel {
+                        0 => |b: &BlockBitmaps| b.comma,
+                        1 => |b: &BlockBitmaps| b.quote,
+                        2 => |b: &BlockBitmaps| b.colon,
+                        _ => |b: &BlockBitmaps| b.closers(),
+                    };
+                    let a = live.next_pos_where(from, lane);
+                    prop_assert_eq!(a, built.next_pos_where(from, lane), "next_pos_where from {}", from);
+                    a.ok_or(StreamError::Unbalanced { pos: len })
+                } else {
+                    let (open, close) = if sel % 2 == 0 { (b'{', b'}') } else { (b'[', b']') };
+                    live.set_pos(from);
+                    built.set_pos(from);
+                    let a = live.seek_container_end(open, close, depth);
+                    prop_assert_eq!(&a, &built.seek_container_end(open, close, depth), "seek from {}", from);
+                    a
+                };
+                prop_assert_eq!(live.pos(), built.pos());
+                prop_assert_eq!(live.words_classified(), built.words_classified(), "len {}", len);
+                // A failed scan read to the end: the words behind are gone.
+                let Ok(p) = got else { break };
+                live.set_pos(p + 1);
+                built.set_pos(p + 1);
+            }
         }
 
         #[test]

@@ -190,7 +190,8 @@ struct AttrHop {
     name: Option<Span>,
     /// The matched value's opener, or the object's `}`.
     pos: usize,
-    /// Bytes accounted to G1.
+    /// Bytes accounted to G1: from entry to the matched name's opening
+    /// quote, or to the object's `}`.
     skipped: u64,
 }
 
@@ -201,10 +202,10 @@ struct AttrHop {
 /// a container of the other kind is paired over. Names are read from the
 /// raw bytes only once an opener of the wanted kind is found.
 ///
-/// The G1 byte count reproduces the per-hop accounting of Algorithm 5's
-/// component functions: each container and batched skip counts its own
-/// span, and a seek that ends at a colon hop counts its whole distance
-/// from `entry`.
+/// G1 counts exactly the bytes from `entry` to where the seek stops: the
+/// matched name's opening quote, or the object's `}`. The bytes from
+/// there to the value's opener (the name, colon and whitespace) were read,
+/// not skipped, so the count never exceeds the distance moved.
 fn seek_attr<W: Words>(
     src: &mut W,
     input: &[u8],
@@ -213,7 +214,17 @@ fn seek_attr<W: Words>(
 ) -> Result<AttrHop, StreamError> {
     let len = input.len();
     let unbalanced = || StreamError::Unbalanced { pos: len };
-    let mut skipped = 0u64;
+    let end_of_object = |pos: usize| AttrHop {
+        name: None,
+        pos,
+        skipped: (pos - entry) as u64,
+    };
+    let matched = |name: Span, pos: usize| AttrHop {
+        name: Some(name),
+        pos,
+        // On malformed input the backward name scan can pass `entry`.
+        skipped: (name.0 - 1).saturating_sub(entry) as u64,
+    };
     let mut at = entry;
     loop {
         // Next attribute's colon, or the end of this object — whichever
@@ -222,11 +233,7 @@ fn seek_attr<W: Words>(
         let (hit, _) = scan(src, at, len, |b| b.colon | b.rbrace, |_| 0);
         let colon = hit.ok_or_else(unbalanced)?;
         if input[colon] == b'}' {
-            return Ok(AttrHop {
-                name: None,
-                pos: colon,
-                skipped: skipped + (colon - entry) as u64,
-            });
+            return Ok(end_of_object(colon));
         }
         let value = after_ws(input, colon + 1);
         let value_byte = *input.get(value).ok_or(StreamError::UnexpectedEof {
@@ -236,12 +243,7 @@ fn seek_attr<W: Words>(
             // Matched type: recover the attribute name (the string just
             // before the colon) from the raw buffer — only matched-type
             // attributes pay for name extraction.
-            let name = extract_name_before(input, colon)?;
-            return Ok(AttrHop {
-                name: Some(name),
-                pos: value,
-                skipped: skipped + name.0.saturating_sub(1).saturating_sub(entry) as u64,
-            });
+            return Ok(matched(extract_name_before(input, colon)?, value));
         }
         let opener = if matches!(value_byte, b'{' | b'[') {
             value
@@ -250,15 +252,8 @@ fn seek_attr<W: Words>(
             // next opener or the object end (Algorithm 5's goOverPriAttrs).
             let (stop, _) = scan(src, value, len, stops, |_| 0);
             let stop = stop.ok_or_else(unbalanced)?;
-            skipped += (stop - value) as u64;
             match input[stop] {
-                b'}' => {
-                    return Ok(AttrHop {
-                        name: None,
-                        pos: stop,
-                        skipped,
-                    })
-                }
+                b'}' => return Ok(end_of_object(stop)),
                 b']' => {
                     return Err(StreamError::Unexpected {
                         expected: "`}` or next attribute",
@@ -268,11 +263,7 @@ fn seek_attr<W: Words>(
                 }
                 b if b == want_open => {
                     let colon = last_colon_before(input, stop)?;
-                    return Ok(AttrHop {
-                        name: Some(extract_name_before(input, colon)?),
-                        pos: stop,
-                        skipped,
-                    });
+                    return Ok(matched(extract_name_before(input, colon)?, stop));
                 }
                 _ => stop,
             }
@@ -284,7 +275,6 @@ fn seek_attr<W: Words>(
             find_close(src, opener + 1, len, 1, BlockBitmaps::brackets)
         }
         .ok_or_else(unbalanced)?;
-        skipped += (end + 1 - opener) as u64;
         at = end + 1;
     }
 }
@@ -552,28 +542,34 @@ mod tests {
     fn g1_accounting_per_hop_kind() {
         // Each case takes a different mix of hops: colon hop to a match,
         // batched primitive skip to a match or to `}`, a container of the
-        // other kind paired over, and `}` found by the colon hop. The G1
-        // byte counts are those of the per-hop accounting (a seek that ends
-        // at a colon hop counts its whole distance from entry on top of the
-        // container skips already counted), pinned so a rewrite of the seek
-        // cannot drift from the Table 6 figures.
+        // other kind paired over, and `}` found by the colon hop. G1 counts
+        // the bytes from entry to the matched name's opening quote or to
+        // the `}`, whatever the hops, and so never more than the seek
+        // moved; the counts are pinned so a rewrite of the seek cannot
+        // drift from the Table 6 figures.
         fn seek(input: &[u8], want: u8) -> (Option<&str>, usize, u64) {
             let mut cur = cursor_at(input, 0);
             let mut st = FastForwardStats::new();
             let got = go_to_attr_with_opener(&mut cur, &mut st, want).unwrap();
             let name = got.map(|(s, e)| std::str::from_utf8(&input[s..e]).unwrap());
-            (name, cur.pos(), st.skipped(Group::G1))
+            let g1 = st.skipped(Group::G1);
+            assert!(
+                g1 <= cur.pos() as u64,
+                "G1 {g1} > {} bytes moved",
+                cur.pos()
+            );
+            (name, cur.pos(), g1)
         }
         let v = br#""a": 1, "b": "x}", "t": {"k": 1}}"#;
         assert_eq!(seek(v, b'{'), (Some("t"), 24, 19));
         let v = br#""o": {"x": [1]}, "t": [2]}"#;
-        assert_eq!(seek(v, b'['), (Some("t"), 22, 27));
+        assert_eq!(seek(v, b'['), (Some("t"), 22, 17));
         let v = br#""o": [1, {"y": 2}], "p": 3, "q": {"z": 1}}"#;
-        assert_eq!(seek(v, b'{'), (Some("q"), 33, 21));
+        assert_eq!(seek(v, b'{'), (Some("q"), 33, 28));
         let v = br#""a": 1, "b": [2, "]"], "c": 3}"#;
-        assert_eq!(seek(v, b'{'), (None, 29, 17));
+        assert_eq!(seek(v, b'{'), (None, 29, 29));
         let v = br#""a": {"b": 1}}  "#;
-        assert_eq!(seek(v, b'['), (None, 13, 21));
+        assert_eq!(seek(v, b'['), (None, 13, 13));
         assert_eq!(seek(b"  }", b'{'), (None, 2, 2));
     }
 }

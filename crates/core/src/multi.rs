@@ -584,9 +584,10 @@ mod tests {
             .run(json, |i, m| got[i].push(m.bytes().to_vec()))
             .unwrap();
         assert_eq!(got, [vec![b"1".to_vec()], vec![b"1".to_vec()]]);
+        // G1 runs from the comma after `"p": 1` to the opening quote of "a".
         assert_eq!(
             stats.skipped(Group::G1),
-            br#" "q": "skip","#.len() as u64,
+            br#", "q": "skip", "#.len() as u64,
             "{stats}"
         );
     }

@@ -297,6 +297,48 @@ mod tests {
     }
 
     #[test]
+    fn resync_after_an_error_past_a_window_boundary() {
+        // The live cursor classifies 16 words (1 KiB) at a time. Here the
+        // broken record starts past the first window, and its pairing scan
+        // fails at the end of the stream, several windows on. With good
+        // records after it the resync point is behind the frontier (the
+        // cursor restarts); with the tail in the final word it is not (the
+        // cursor continues from the window).
+        for after in [30, 0] {
+            let mut stream = Vec::new();
+            for i in 0..120 {
+                stream.extend_from_slice(format!("{{\"b\": {i}}}\n").as_bytes());
+            }
+            let bad = stream.len();
+            stream.extend_from_slice(b"[1, {\"a\": 2}\n");
+            for i in 0..after {
+                stream.extend_from_slice(format!("{{\"c\": {i}}}\n").as_bytes());
+            }
+            stream.extend_from_slice(b"{\"z\": 1}");
+            assert!(bad > 1024);
+            let mut it = RecordSplitter::new(&stream);
+            for i in 0..120 {
+                let (s, e) = it.next().unwrap().unwrap();
+                assert_eq!(&stream[s..e], format!("{{\"b\": {i}}}").as_bytes());
+            }
+            assert!(it.next().unwrap().is_err());
+            let span = it.resync().unwrap();
+            assert_eq!(
+                &stream[span.0..span.1],
+                b"[1, {\"a\": 2}\n",
+                "after {after}"
+            );
+            let rest: Vec<_> = it.map(|r| r.unwrap()).collect();
+            assert_eq!(rest.len(), after + 1, "after {after}");
+            for (i, &(s, e)) in rest[..after].iter().enumerate() {
+                assert_eq!(&stream[s..e], format!("{{\"c\": {i}}}").as_bytes());
+            }
+            let (s, e) = rest[after];
+            assert_eq!(&stream[s..e], b"{\"z\": 1}");
+        }
+    }
+
+    #[test]
     fn resync_at_stream_end_consumes_the_tail() {
         let stream = b"{\"ok\": 1} {\"bad\": ";
         let mut it = RecordSplitter::new(stream);

@@ -112,13 +112,12 @@ fn cached_responses_are_byte_identical_for_every_kernel_and_validation() {
     let body = ndjson(40);
     let reference = serial_reference(QUERY, &body);
     let mut kernels: Vec<Option<Kernel>> = vec![None];
-    for name in ["scalar", "swar", "sse2", "avx2"] {
-        if let Some(k) = Kernel::from_name(name) {
-            if k.is_supported() {
-                kernels.push(Some(k));
-            }
-        }
-    }
+    kernels.extend(
+        Kernel::all()
+            .iter()
+            .filter(|k| k.is_supported())
+            .map(|&k| Some(k)),
+    );
     for kernel in kernels {
         for validation in [ValidationMode::Permissive, ValidationMode::Strict] {
             let tag = format!(

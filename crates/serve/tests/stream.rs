@@ -118,13 +118,12 @@ fn streamed_query_via<T: std::io::Read + Write>(
 fn streamed_and_single_frame_are_byte_identical_for_every_kernel() {
     let body = ndjson(400);
     let mut kernels: Vec<Option<Kernel>> = vec![None];
-    for name in ["scalar", "swar", "sse2", "avx2"] {
-        if let Some(k) = Kernel::from_name(name) {
-            if k.is_supported() {
-                kernels.push(Some(k));
-            }
-        }
-    }
+    kernels.extend(
+        Kernel::all()
+            .iter()
+            .filter(|k| k.is_supported())
+            .map(|&k| Some(k)),
+    );
     for kernel in kernels {
         for validation in [ValidationMode::Permissive, ValidationMode::Strict] {
             let config = ServeConfig {

@@ -1,8 +1,18 @@
 //! Streaming block classification: raw kernels + string masking + padding.
+//!
+//! The classifier is fused per kernel: the raw compares, escape detection,
+//! prefix XOR and string masking of a batch of blocks run in one
+//! `#[target_feature]` region, chosen once per batch.
 
-use crate::kernels::{best_kernel, Kernel, RawBitmaps};
+use crate::bits::prefix_xor;
+use crate::kernels::{best_kernel, classify_scalar, classify_swar, Kernel, RawBitmaps};
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::{classify_avx2, classify_avx512, classify_sse2, clmul_prefix_xor};
 use crate::string_mask::StringState;
 use crate::BLOCK;
+
+/// Blocks per [`Classifier::classify_many`] call in [`classify_stream`].
+const BATCH: usize = 16;
 
 /// Structural bitmaps for one 64-byte block, with in-string
 /// pseudo-metacharacters already removed (paper Algorithm 3, lines 16-20).
@@ -158,8 +168,45 @@ impl Classifier {
     /// Classifies the next 64-byte block of the stream.
     #[inline]
     pub fn classify(&mut self, block: &[u8; BLOCK]) -> BlockBitmaps {
-        let raw = self.kernel.classify(block);
-        self.masked(raw)
+        let mut out = [BlockBitmaps::default()];
+        self.classify_many(std::slice::from_ref(block), &mut out);
+        out[0]
+    }
+
+    /// Classifies the next `blocks.len()` blocks of the stream into `out`,
+    /// exactly as that many [`classify`](Self::classify) calls would. The
+    /// kernel is chosen once per call, and each block's compares, escape
+    /// detection, prefix XOR and masking run in one `#[target_feature]`
+    /// region, so one block's serial string-state chain overlaps the next
+    /// block's compares.
+    ///
+    /// ```
+    /// use simdbits::{BlockBitmaps, Classifier, BLOCK};
+    /// let blocks = [[b','; BLOCK]; 3];
+    /// let mut out = [BlockBitmaps::default(); 3];
+    /// Classifier::new().classify_many(&blocks, &mut out);
+    /// assert!(out.iter().all(|bm| bm.comma == u64::MAX));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != blocks.len()`.
+    #[inline]
+    pub fn classify_many(&mut self, blocks: &[[u8; BLOCK]], out: &mut [BlockBitmaps]) {
+        assert_eq!(blocks.len(), out.len(), "one output slot per block");
+        let strings = &mut self.strings;
+        match self.kernel {
+            Kernel::Scalar => fused(strings, blocks, out, classify_scalar, prefix_xor),
+            Kernel::Swar => fused(strings, blocks, out, classify_swar, prefix_xor),
+            // SAFETY (x86 arms): `with_kernel` asserted that the CPU
+            // supports the kernel, which includes PCLMULQDQ.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Sse2 => unsafe { fused_sse2(strings, blocks, out) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { fused_avx2(strings, blocks, out) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { fused_avx512(strings, blocks, out) },
+        }
     }
 
     /// Classifies a possibly-short tail block by zero-padding to 64 bytes.
@@ -175,22 +222,6 @@ impl Classifier {
         self.classify(&block)
     }
 
-    #[inline]
-    fn masked(&mut self, raw: RawBitmaps) -> BlockBitmaps {
-        let (string_mask, real_quotes) = self.strings.step(raw.quote, raw.backslash);
-        let keep = !string_mask;
-        BlockBitmaps {
-            lbrace: raw.lbrace & keep,
-            rbrace: raw.rbrace & keep,
-            lbracket: raw.lbracket & keep,
-            rbracket: raw.rbracket & keep,
-            colon: raw.colon & keep,
-            comma: raw.comma & keep,
-            quote: real_quotes,
-            string_mask,
-        }
-    }
-
     /// Whether the classified stream currently ends inside a string literal.
     pub fn in_string(&self) -> bool {
         self.strings.in_string()
@@ -202,10 +233,72 @@ impl Classifier {
     }
 }
 
+/// The body shared by every kernel's fused region: one block at a time,
+/// raw compares, then the string state step with `prefix_xor`, then the
+/// masking. Inlined into each caller, so in an x86 region the kernel and
+/// the carry-less multiply inline with it.
+#[inline(always)]
+fn fused(
+    strings: &mut StringState,
+    blocks: &[[u8; BLOCK]],
+    out: &mut [BlockBitmaps],
+    kernel: impl Fn(&[u8; BLOCK]) -> RawBitmaps,
+    prefix_xor: impl Fn(u64) -> u64 + Copy,
+) {
+    for (block, slot) in blocks.iter().zip(out) {
+        let raw = kernel(block);
+        let (string_mask, real_quotes) = strings.step_with(raw.quote, raw.backslash, prefix_xor);
+        let keep = !string_mask;
+        *slot = BlockBitmaps {
+            lbrace: raw.lbrace & keep,
+            rbrace: raw.rbrace & keep,
+            lbracket: raw.lbracket & keep,
+            rbracket: raw.rbracket & keep,
+            colon: raw.colon & keep,
+            comma: raw.comma & keep,
+            quote: real_quotes,
+            string_mask,
+        };
+    }
+}
+
+/// Stamps out one x86 kernel's fused region: [`fused`] with the kernel's
+/// compares and the carry-less-multiply prefix XOR, under the kernel's
+/// target feature plus PCLMULQDQ.
+macro_rules! fused_x86 {
+    ($name:ident, $feature:literal, $kernel:ident) => {
+        /// [`fused`] under this kernel's target features.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support the kernel's feature and PCLMULQDQ.
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature, enable = "pclmulqdq")]
+        unsafe fn $name(
+            strings: &mut StringState,
+            blocks: &[[u8; BLOCK]],
+            out: &mut [BlockBitmaps],
+        ) {
+            // SAFETY: this function's own target features cover both callees.
+            fused(
+                strings,
+                blocks,
+                out,
+                |block| unsafe { $kernel(block) },
+                |x| unsafe { clmul_prefix_xor(x) },
+            )
+        }
+    };
+}
+fused_x86!(fused_sse2, "sse2", classify_sse2);
+fused_x86!(fused_avx2, "avx2", classify_avx2);
+fused_x86!(fused_avx512, "avx512bw", classify_avx512);
+
 /// Classifies every word of `input` in order, calling `f(word_index,
-/// bitmaps)` for each. Full words are classified in place (no copy); only
-/// the final short word is zero-padded. This is the preferred whole-stream
-/// driver for index builders.
+/// bitmaps)` for each. Full words are classified in place (no copy), in
+/// batches through [`Classifier::classify_many`]; only the final short
+/// word is zero-padded. This is the preferred whole-stream driver for
+/// index builders.
 ///
 /// ```
 /// use simdbits::{classify_stream, Classifier};
@@ -218,13 +311,17 @@ impl Classifier {
 /// ```
 #[inline]
 pub fn classify_stream(cls: &mut Classifier, input: &[u8], mut f: impl FnMut(usize, BlockBitmaps)) {
-    let mut blocks = Blocks::new(input);
+    let (blocks, tail) = input.as_chunks::<BLOCK>();
+    let mut out = [BlockBitmaps::default(); BATCH];
     let mut w = 0usize;
-    for block in blocks.by_ref() {
-        f(w, cls.classify(block));
-        w += 1;
+    for batch in blocks.chunks(BATCH) {
+        let out = &mut out[..batch.len()];
+        cls.classify_many(batch, out);
+        for &bm in out.iter() {
+            f(w, bm);
+            w += 1;
+        }
     }
-    let tail = blocks.remainder();
     if !tail.is_empty() {
         f(w, cls.classify_tail(tail));
     }

@@ -2,8 +2,12 @@
 //!
 //! Each kernel maps a 64-byte block to [`RawBitmaps`] — per-character bitmaps
 //! *before* string masking. The scalar kernel is the semantic reference; the
-//! SWAR/SSE2/AVX2 kernels are property-tested against it. Runtime dispatch
-//! picks the widest kernel the CPU supports.
+//! SWAR/SSE2/AVX2/AVX-512 kernels are property-tested against it. Runtime
+//! dispatch picks the widest kernel the CPU supports.
+//!
+//! The x86 kernels are `#[inline]` `#[target_feature]` functions so that the
+//! fused classifier (`block.rs`) can inline them into one region per kernel
+//! together with the carry-less-multiply prefix XOR ([`clmul_prefix_xor`]).
 
 use crate::BLOCK;
 
@@ -43,6 +47,10 @@ pub enum Kernel {
     /// 32-byte `cmpeq`/`movemask`; requires AVX2.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// One 64-byte `cmpeq` into a mask register per character class;
+    /// requires AVX-512BW.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 /// Returns the widest kernel supported by the running CPU.
@@ -53,24 +61,29 @@ pub enum Kernel {
 /// assert_ne!(k, simdbits::Kernel::Scalar);
 /// ```
 pub fn best_kernel() -> Kernel {
-    // Miri has no CPU feature detection and does not model vendor
-    // intrinsics; the portable SWAR kernel is the widest it can run.
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
-        }
-        // SSE2 is part of the x86_64 baseline.
-        return Kernel::Sse2;
-    }
-    #[allow(unreachable_code)]
-    Kernel::Swar
+    // Under Miri no x86 kernel is supported (no vendor intrinsics there),
+    // so the portable SWAR kernel is the widest it can run.
+    #[cfg(target_arch = "x86_64")]
+    let widest = [Kernel::Avx512, Kernel::Avx2, Kernel::Sse2];
+    #[cfg(not(target_arch = "x86_64"))]
+    let widest: [Kernel; 0] = [];
+    widest
+        .into_iter()
+        .find(|k| k.is_supported())
+        .unwrap_or(Kernel::Swar)
 }
 
 impl Kernel {
     /// Classifies one 64-byte block with this kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU does not support the kernel (see
+    /// [`is_supported`](Self::is_supported)).
     #[inline]
     pub fn classify(self, block: &[u8; BLOCK]) -> RawBitmaps {
+        assert!(self.is_supported(), "kernel {self:?} not supported");
+        // SAFETY (every arm): the CPU supports the kernel, asserted above.
         match self {
             Kernel::Scalar => classify_scalar(block),
             Kernel::Swar => classify_swar(block),
@@ -78,6 +91,8 @@ impl Kernel {
             Kernel::Sse2 => unsafe { classify_sse2(block) },
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => unsafe { classify_avx2(block) },
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { classify_avx512(block) },
         }
     }
 
@@ -85,7 +100,13 @@ impl Kernel {
     pub fn all() -> &'static [Kernel] {
         #[cfg(target_arch = "x86_64")]
         {
-            &[Kernel::Scalar, Kernel::Swar, Kernel::Sse2, Kernel::Avx2]
+            &[
+                Kernel::Scalar,
+                Kernel::Swar,
+                Kernel::Sse2,
+                Kernel::Avx2,
+                Kernel::Avx512,
+            ]
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -94,15 +115,25 @@ impl Kernel {
     }
 
     /// Whether this CPU can execute the kernel.
+    ///
+    /// The x86 kernels also need PCLMULQDQ: the classifier fuses their
+    /// compares with the carry-less-multiply prefix XOR of the string mask.
     pub fn is_supported(self) -> bool {
+        // Miri interprets Rust, not x86: vendor intrinsics are unsupported
+        // there even though the host CPU has them, so it detects nothing.
+        #[cfg(target_arch = "x86_64")]
+        let simd = |feature: fn() -> bool| {
+            !cfg!(miri) && std::arch::is_x86_feature_detected!("pclmulqdq") && feature()
+        };
         match self {
             Kernel::Scalar | Kernel::Swar => true,
-            // Miri interprets Rust, not x86: vendor intrinsics are
-            // unsupported there even though the host CPU has them.
+            // SSE2 is part of the x86_64 baseline.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => !cfg!(miri),
+            Kernel::Sse2 => simd(|| true),
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => !cfg!(miri) && std::arch::is_x86_feature_detected!("avx2"),
+            Kernel::Avx2 => simd(|| std::arch::is_x86_feature_detected!("avx2")),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => simd(|| std::arch::is_x86_feature_detected!("avx512bw")),
         }
     }
 
@@ -115,6 +146,8 @@ impl Kernel {
             Kernel::Sse2 => "sse2",
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => "avx512",
         }
     }
 
@@ -232,9 +265,13 @@ pub(crate) fn classify_swar(block: &[u8; BLOCK]) -> RawBitmaps {
     }
 }
 
+/// # Safety
+///
+/// SSE2 is the x86_64 baseline; callable on every x86_64 CPU.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-unsafe fn classify_sse2(block: &[u8; BLOCK]) -> RawBitmaps {
+#[inline]
+pub(crate) unsafe fn classify_sse2(block: &[u8; BLOCK]) -> RawBitmaps {
     use std::arch::x86_64::*;
     let ptr = block.as_ptr();
     let chunks = [
@@ -243,6 +280,7 @@ unsafe fn classify_sse2(block: &[u8; BLOCK]) -> RawBitmaps {
         _mm_loadu_si128(ptr.add(32) as *const __m128i),
         _mm_loadu_si128(ptr.add(48) as *const __m128i),
     ];
+    #[target_feature(enable = "sse2")]
     #[inline]
     unsafe fn eq_mask(chunks: &[std::arch::x86_64::__m128i; 4], c: u8) -> u64 {
         use std::arch::x86_64::*;
@@ -266,13 +304,18 @@ unsafe fn classify_sse2(block: &[u8; BLOCK]) -> RawBitmaps {
     }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn classify_avx2(block: &[u8; BLOCK]) -> RawBitmaps {
+#[inline]
+pub(crate) unsafe fn classify_avx2(block: &[u8; BLOCK]) -> RawBitmaps {
     use std::arch::x86_64::*;
     let ptr = block.as_ptr();
     let lo = _mm256_loadu_si256(ptr as *const __m256i);
     let hi = _mm256_loadu_si256(ptr.add(32) as *const __m256i);
+    #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn eq_mask(
         lo: std::arch::x86_64::__m256i,
@@ -295,6 +338,50 @@ unsafe fn classify_avx2(block: &[u8; BLOCK]) -> RawBitmaps {
         quote: eq_mask(lo, hi, b'"'),
         backslash: eq_mask(lo, hi, b'\\'),
     }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX-512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512bw")]
+#[inline]
+pub(crate) unsafe fn classify_avx512(block: &[u8; BLOCK]) -> RawBitmaps {
+    use std::arch::x86_64::*;
+    let v = _mm512_loadu_si512(block.as_ptr() as *const __m512i);
+    #[target_feature(enable = "avx512bw")]
+    #[inline]
+    unsafe fn eq_mask(v: std::arch::x86_64::__m512i, c: u8) -> u64 {
+        use std::arch::x86_64::*;
+        _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(c as i8))
+    }
+    RawBitmaps {
+        lbrace: eq_mask(v, b'{'),
+        rbrace: eq_mask(v, b'}'),
+        lbracket: eq_mask(v, b'['),
+        rbracket: eq_mask(v, b']'),
+        colon: eq_mask(v, b':'),
+        comma: eq_mask(v, b','),
+        quote: eq_mask(v, b'"'),
+        backslash: eq_mask(v, b'\\'),
+    }
+}
+
+/// Prefix XOR of `x` by carry-less multiplication with all ones (the trick
+/// simdjson uses); equal to [`crate::bits::prefix_xor`].
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq")]
+#[inline]
+pub(crate) unsafe fn clmul_prefix_xor(x: u64) -> u64 {
+    use std::arch::x86_64::*;
+    let v = _mm_set_epi64x(0, x as i64);
+    let ones = _mm_set1_epi8(-1);
+    let product = _mm_clmulepi64_si128(v, ones, 0);
+    _mm_cvtsi128_si64(product) as u64
 }
 
 #[cfg(test)]

@@ -57,16 +57,19 @@ pub fn scan_block(kernel: Kernel, block: &[u8; BLOCK]) -> ScanBitmaps {
         Kernel::Swar => scan_swar(block),
         #[cfg(target_arch = "x86_64")]
         #[allow(unused_variables)]
-        k @ (Kernel::Sse2 | Kernel::Avx2) => {
+        k @ (Kernel::Sse2 | Kernel::Avx2 | Kernel::Avx512) => {
             #[cfg(not(miri))]
             {
-                if k == Kernel::Avx2 {
-                    // SAFETY: an Avx2 classifier is only constructed on CPUs
-                    // where `is_supported()` held (AVX2 detected).
-                    return unsafe { scan_avx2(block) };
-                }
-                // SAFETY: SSE2 is part of the x86_64 baseline.
-                return unsafe { scan_sse2(block) };
+                // SAFETY: an x86 kernel is only chosen on CPUs where its
+                // `is_supported()` held (AVX-512BW or AVX2 detected); SSE2
+                // is part of the x86_64 baseline.
+                return unsafe {
+                    match k {
+                        Kernel::Avx512 => scan_avx512(block),
+                        Kernel::Avx2 => scan_avx2(block),
+                        _ => scan_sse2(block),
+                    }
+                };
             }
             #[allow(unreachable_code)]
             scan_swar(block)
@@ -202,6 +205,25 @@ unsafe fn scan_avx2(block: &[u8; BLOCK]) -> ScanBitmaps {
         bm.control |= (ctl as u32 as u64) << shift;
     }
     bm
+}
+
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx512bw")]
+unsafe fn scan_avx512(block: &[u8; BLOCK]) -> ScanBitmaps {
+    use std::arch::x86_64::*;
+    let v = _mm512_loadu_si512(block.as_ptr() as *const __m512i);
+    let eq = |c: u8| _mm512_cmpeq_epi8_mask(v, _mm512_set1_epi8(c as i8));
+    ScanBitmaps {
+        lbrace: eq(b'{'),
+        rbrace: eq(b'}'),
+        lbracket: eq(b'['),
+        rbracket: eq(b']'),
+        quote: eq(b'"'),
+        backslash: eq(b'\\'),
+        // The sign bit of each byte: exactly the >= 0x80 class.
+        high: _mm512_movepi8_mask(v),
+        control: _mm512_cmplt_epu8_mask(v, _mm512_set1_epi8(0x20)),
+    }
 }
 
 #[cfg(test)]

@@ -60,9 +60,22 @@ impl StringState {
     /// closing quote exclusive) and `real_quotes` marks unescaped quotes.
     #[inline]
     pub fn step(&mut self, quotes: u64, backslashes: u64) -> (u64, u64) {
+        self.step_with(quotes, backslashes, fast_prefix_xor)
+    }
+
+    /// [`step`](Self::step) with the prefix XOR supplied by the caller, so
+    /// a fused classifier can pass the carry-less multiply of its own
+    /// `#[target_feature]` region instead of a per-block feature check.
+    #[inline(always)]
+    pub(crate) fn step_with(
+        &mut self,
+        quotes: u64,
+        backslashes: u64,
+        prefix_xor: impl Fn(u64) -> u64,
+    ) -> (u64, u64) {
         let escaped = self.find_escaped(backslashes);
         let real_quotes = quotes & !escaped;
-        let in_string = fast_prefix_xor(real_quotes) ^ self.prev_in_string;
+        let in_string = prefix_xor(real_quotes) ^ self.prev_in_string;
         // Sign-extend the top bit: all-ones if still inside a string.
         self.prev_in_string = ((in_string as i64) >> 63) as u64;
         (in_string, real_quotes)
@@ -73,7 +86,7 @@ impl StringState {
     ///
     /// This is the branch-structured algorithm from "Parsing Gigabytes of
     /// JSON per Second" (Langdale & Lemire), ported bit-for-bit.
-    #[inline]
+    #[inline(always)]
     fn find_escaped(&mut self, backslashes: u64) -> u64 {
         let bs = backslashes;
         // Start-of-run edges (a backslash not preceded by one), adjusted for
@@ -99,10 +112,12 @@ impl StringState {
     }
 }
 
-/// Prefix XOR via carry-less multiplication by all-ones (the trick
-/// simdjson uses), with the shift-XOR ladder as the portable fallback.
-/// The equivalence is covered by the kernel property tests (the string
-/// masks of every kernel path must agree with the scalar model).
+/// Prefix XOR via carry-less multiplication by all-ones when the CPU has
+/// it, with the shift-XOR ladder as the portable fallback. Only the
+/// standalone [`StringState::step`] pays this per-block feature check; the
+/// classifier's fused kernels call the multiply directly. The equivalence
+/// is covered by the kernel property tests (the string masks of every
+/// kernel path must agree with the scalar model).
 #[inline]
 fn fast_prefix_xor(x: u64) -> u64 {
     // Miri does not model the carry-less multiply intrinsic.
@@ -110,20 +125,10 @@ fn fast_prefix_xor(x: u64) -> u64 {
     {
         if std::arch::is_x86_feature_detected!("pclmulqdq") {
             // SAFETY: feature presence checked at runtime just above.
-            return unsafe { clmul_prefix_xor(x) };
+            return unsafe { crate::kernels::clmul_prefix_xor(x) };
         }
     }
     prefix_xor(x)
-}
-
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "pclmulqdq", enable = "sse2")]
-unsafe fn clmul_prefix_xor(x: u64) -> u64 {
-    use std::arch::x86_64::*;
-    let v = _mm_set_epi64x(0, x as i64);
-    let ones = _mm_set1_epi8(-1);
-    let product = _mm_clmulepi64_si128(v, ones, 0);
-    _mm_cvtsi128_si64(product) as u64
 }
 
 #[cfg(test)]

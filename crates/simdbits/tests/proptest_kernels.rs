@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use simdbits::scan::{scan_block, scan_scalar};
-use simdbits::{bits, Classifier, Kernel, PaddedBlocks, BLOCK};
+use simdbits::{bits, BlockBitmaps, Classifier, Kernel, PaddedBlocks, BLOCK};
 
 /// Arbitrary bytes biased towards JSON metacharacters, quotes, and
 /// backslashes so the interesting code paths fire constantly.
@@ -177,6 +177,36 @@ proptest! {
         let got = classified(&input, Kernel::Scalar);
         let want = scalar_model(&input);
         prop_assert_eq!(got, want);
+    }
+
+    // The batched path is the per-word path: for every supported kernel,
+    // classifying `split` blocks one at a time and the rest `batch` at a
+    // time through `classify_many` yields the same bitmaps, so the string
+    // state carried into and out of a batch is exact at every split.
+    #[test]
+    fn classify_many_equals_repeated_classify(
+        input in spicy_bytes(64 * 24),
+        batch in 1usize..=16,
+        split in 0usize..24,
+    ) {
+        let (blocks, _) = input.as_chunks::<BLOCK>();
+        let split = split.min(blocks.len());
+        for &k in Kernel::all() {
+            if !k.is_supported() {
+                continue;
+            }
+            let mut one = Classifier::with_kernel(k);
+            let want: Vec<BlockBitmaps> = blocks.iter().map(|b| one.classify(b)).collect();
+            let mut many = Classifier::with_kernel(k);
+            let mut got: Vec<BlockBitmaps> = blocks[..split].iter().map(|b| many.classify(b)).collect();
+            for chunk in blocks[split..].chunks(batch) {
+                let mut out = vec![BlockBitmaps::default(); chunk.len()];
+                many.classify_many(chunk, &mut out);
+                got.extend(out);
+            }
+            prop_assert_eq!(&got, &want, "kernel {:?}", k);
+            prop_assert_eq!(many.in_string(), one.in_string(), "kernel {:?}", k);
+        }
     }
 
     #[test]
