@@ -6,12 +6,13 @@
 use std::io::{Read, Write};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use jsonski::{
-    digest_parts, fingerprint, CancellationToken, Checkpoint, CheckpointCadence, EngineConfig,
-    EngineError, ErrorPolicy, Evaluate, JsonSki, Kernel, Metrics, MetricsSnapshot, MultiQuery,
-    Pipeline, PipelineSummary, ReadRecordError, ResourceLimits, RetryPolicy, ValidationMode,
-    FINGERPRINT_BYTES,
+    digest_parts, fingerprint, CancellationToken, Checkpoint, CheckpointCadence, ChunkedRecords,
+    CountSink, EngineConfig, EngineError, ErrorPolicy, JsonSki, Kernel, Metrics, MetricsSnapshot,
+    MultiQuery, Pipeline, PipelineSummary, RecordSource, ResourceLimits, RetryPolicy, SliceRecords,
+    ValidationMode, FINGERPRINT_BYTES,
 };
 
 pub mod serve;
@@ -68,25 +69,34 @@ fn engine_error_to_cli(e: &EngineError) -> CliError {
     }
 }
 
-/// How a completed run went, for exit-code selection: `130` when
-/// cancelled, [`EXIT_SKIPPED`] when records were skipped, `0` otherwise.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// How a completed run went: the per-query match counts, the pipeline's
+/// summary, and the counters of the run's metrics registry.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Matches per query, in query order.
     pub counts: Vec<usize>,
-    /// Records skipped (evaluation failures, limit rejections, and
-    /// resynchronized spans) under `--skip-malformed`.
-    pub skipped: u64,
-    /// The run was cut short by cooperative cancellation.
-    pub cancelled: bool,
+    /// What the pipeline merged: records, skips, resyncs, whether the run
+    /// was stopped or cancelled, and the input offset it committed (short
+    /// of the input length when `--limit` ended the scan early).
+    pub summary: PipelineSummary,
+    /// The registry behind `--metrics` and `--stats`, read after the run;
+    /// `None` when neither flag was given.
+    pub metrics: Option<MetricsSnapshot>,
 }
 
 impl RunReport {
-    /// The process exit code for this outcome.
+    /// Records skipped under `--skip-malformed`: evaluation failures,
+    /// limit rejections, and resynchronized spans.
+    pub fn skipped(&self) -> u64 {
+        self.summary.failed + self.summary.resyncs
+    }
+
+    /// The process exit code: `130` when cancelled, [`EXIT_SKIPPED`] when
+    /// records were skipped, `0` otherwise.
     pub fn exit_code(&self) -> u8 {
-        if self.cancelled {
+        if self.summary.cancelled {
             EXIT_CANCELLED
-        } else if self.skipped > 0 {
+        } else if self.skipped() > 0 {
             EXIT_SKIPPED
         } else {
             0
@@ -102,7 +112,7 @@ pub struct RunControls {
     /// Checked at record boundaries; flipping it drains in-flight work and
     /// exits with [`EXIT_CANCELLED`].
     pub cancel: Option<CancellationToken>,
-    /// Durable progress tracking (single-query runs only).
+    /// Durable progress tracking.
     pub checkpoint: Option<CheckpointSetup>,
 }
 
@@ -290,7 +300,7 @@ pub struct Options {
     pub stats: bool,
     /// Stop after this many matches (0 = unlimited).
     pub limit: usize,
-    /// Pipeline workers for streamed input (1 = serial).
+    /// Pipeline workers (1 = serial).
     pub jobs: usize,
     /// Skip records that fail to evaluate instead of aborting.
     pub skip_malformed: bool,
@@ -304,7 +314,7 @@ pub struct Options {
     pub max_buffer_bytes: Option<usize>,
     /// Retry budget for transient reader errors (`WouldBlock`/`TimedOut`).
     pub retry: u32,
-    /// Persist progress to this checkpoint file (single query only).
+    /// Persist progress to this checkpoint file.
     pub checkpoint: Option<String>,
     /// Checkpoint every N delivered records (default 1024).
     pub checkpoint_every: Option<u64>,
@@ -334,31 +344,8 @@ pub enum ExtractMode {
     Typed,
 }
 
-/// Appends one output line for a match of query `query` to `buf` under
-/// the given extract mode. With several queries the line starts with the
-/// query index and a tab; a single query's lines are the bare match.
-fn append_match(
-    buf: &mut Vec<u8>,
-    single: bool,
-    query: usize,
-    m: &jsonski::Match<'_>,
-    mode: ExtractMode,
-) {
-    if !single {
-        buf.extend_from_slice(format!("{query}\t").as_bytes());
-    }
-    match mode {
-        ExtractMode::Raw => buf.extend_from_slice(m.bytes()),
-        ExtractMode::Typed => match m.value().as_str() {
-            Ok(s) => buf.extend_from_slice(s.as_bytes()),
-            Err(_) => buf.extend_from_slice(m.bytes()),
-        },
-    }
-    buf.push(b'\n');
-}
-
-/// The one streaming engine of the serial paths: every query in one
-/// shared pass (a single query runs the plain `JsonSki` evaluator).
+/// The one streaming engine of every run: every query in one shared pass
+/// (a single query runs the plain `JsonSki` evaluator).
 fn compile_engine(opts: &Options) -> Result<MultiQuery, CliError> {
     let queries: Vec<&str> = opts.queries.iter().map(String::as_str).collect();
     Ok(MultiQuery::compile(&queries)
@@ -381,6 +368,15 @@ impl Options {
             limits = limits.max_buffer_bytes(n);
         }
         limits
+    }
+
+    /// What the pipeline does with a record that fails to evaluate.
+    fn error_policy(&self) -> ErrorPolicy {
+        if self.skip_malformed {
+            ErrorPolicy::SkipMalformed
+        } else {
+            ErrorPolicy::FailFast
+        }
     }
 
     /// The full [`EngineConfig`] these options configure: resource limits,
@@ -412,8 +408,8 @@ options:
   -c, --count        print the number of matches instead of the matches
   -s, --stats        print fast-forward statistics to stderr
   -n, --limit N      stop after N matches
-  -j, --jobs N       evaluate stdin records on N parallel pipeline workers
-                     (single query only; output order is still record order)
+  -j, --jobs N       evaluate records on N parallel pipeline workers
+                     (output order is still record order)
       --skip-malformed
                      skip records that fail to evaluate (reported on stderr)
                      instead of aborting the whole stream
@@ -445,8 +441,7 @@ options:
                      up to N times per read before giving up
       --checkpoint PATH
                      persist progress to PATH (atomically rewritten as the
-                     run advances) so an interrupted run can be resumed;
-                     single query only
+                     run advances) so an interrupted run can be resumed
       --checkpoint-every N
                      checkpoint every N delivered records (default 1024)
       --resume       continue from the state in the --checkpoint file,
@@ -625,29 +620,10 @@ fn parse_args_inner<I: IntoIterator<Item = String>>(args: I) -> Result<Options, 
     if opts.resume && opts.checkpoint.is_none() {
         return Err("--resume needs --checkpoint".into());
     }
-    if opts.checkpoint.is_some() && opts.queries.len() > 1 {
-        return Err("--checkpoint applies to single-query runs only".into());
-    }
     if opts.checkpoint_every.is_some() && opts.checkpoint.is_none() {
         return Err("--checkpoint-every needs --checkpoint".into());
     }
     Ok(opts)
-}
-
-/// What [`run_with_outcome`] did: the per-query match counts and how far
-/// into the input the scan advanced. An early exit (`--limit`) leaves
-/// `consumed` short of the input length — the bytes after it were never
-/// examined.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Matches per query, in query order.
-    pub counts: Vec<usize>,
-    /// Number of input bytes examined before the scan ended.
-    pub consumed: usize,
-    /// Records skipped under `--skip-malformed` (including resyncs).
-    pub skipped: u64,
-    /// The scan was cut short by cooperative cancellation.
-    pub cancelled: bool,
 }
 
 fn write_counts(opts: &Options, counts: &[usize], out: &mut dyn Write) -> Result<(), String> {
@@ -657,20 +633,6 @@ fn write_counts(opts: &Options, counts: &[usize], out: &mut dyn Write) -> Result
         }
     }
     Ok(())
-}
-
-fn report_skipped(skipped: u64) {
-    if skipped > 0 {
-        eprintln!("jsonski: skipped {skipped} malformed record(s)");
-    }
-}
-
-fn report_resynced(resyncs: u64, bytes: u64) {
-    if resyncs > 0 {
-        eprintln!(
-            "jsonski: resynchronized past {resyncs} broken span(s) ({bytes} bytes discarded)"
-        );
-    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -743,30 +705,28 @@ fn emit_metrics(
 /// Measures each query in isolation over the in-memory input with a fresh
 /// [`Metrics`] registry, so a multi-query run can still report a
 /// fast-forward ratio *per query* (the live combined pass only yields
-/// aggregate counters).
+/// aggregate counters). `--limit` applies only to the live pass.
 fn measure_queries(
-    queries: &[String],
+    opts: &Options,
     input: &[u8],
-    skip_malformed: bool,
-    config: EngineConfig,
-) -> Result<Vec<(String, MetricsSnapshot)>, String> {
-    let mut out = Vec::with_capacity(queries.len());
-    for q in queries {
+) -> Result<Vec<(String, MetricsSnapshot)>, CliError> {
+    let mut out = Vec::with_capacity(opts.queries.len());
+    for q in &opts.queries {
         let engine = JsonSki::compile(q)
-            .map_err(|e| e.to_string())?
-            .with_config(config);
-        let metrics = Metrics::new();
-        let mut sink = jsonski::CountSink::default();
-        for (idx, span) in jsonski::RecordSplitter::new(input).enumerate() {
-            let (s, e) = span.map_err(|e| e.to_string())?;
-            let outcome = engine.evaluate_metered(&input[s..e], idx as u64, &mut sink, &metrics);
-            if let jsonski::RecordOutcome::Failed(err) = outcome {
-                if !skip_malformed {
-                    return Err(err.to_string());
-                }
-                metrics.record_skipped_record();
-            }
-        }
+            .map_err(|e| CliError::Usage(e.to_string()))?
+            .with_config(opts.engine_config());
+        let metrics = Arc::new(Metrics::new());
+        Pipeline::new()
+            .workers(1)
+            .error_policy(opts.error_policy())
+            .limits(opts.limits())
+            .metrics(Arc::clone(&metrics))
+            .run(
+                &engine,
+                &mut SliceRecords::new(input),
+                &mut CountSink::default(),
+            )
+            .map_err(|e| engine_error_to_cli(&e))?;
         out.push((q.clone(), metrics.snapshot()));
     }
     Ok(out)
@@ -779,26 +739,16 @@ fn measure_queries(
 ///
 /// Query-compilation, streaming, or I/O errors as strings.
 pub fn run(opts: &Options, input: &[u8], out: &mut dyn Write) -> Result<Vec<usize>, String> {
-    run_with_outcome(opts, input, out).map(|o| o.counts)
+    run_ctl(opts, input, out, &RunControls::default())
+        .map(|r| r.counts)
+        .map_err(|e| e.to_string())
 }
 
-/// Like [`run`], also reporting how many input bytes were examined (an
-/// early `--limit` exit stops the scan mid-stream).
-///
-/// # Errors
-///
-/// Query-compilation, streaming, or I/O errors as strings.
-pub fn run_with_outcome(
-    opts: &Options,
-    input: &[u8],
-    out: &mut dyn Write,
-) -> Result<RunOutcome, String> {
-    run_ctl(opts, input, out, &RunControls::default()).map_err(|e| e.to_string())
-}
-
-/// [`run_with_outcome`] with [`RunControls`]: cancellation is honoured at
-/// record boundaries. (In-memory runs do not checkpoint — `main` routes
-/// `--checkpoint` runs through the streaming path even for file input.)
+/// [`run`] with [`RunControls`], reporting the whole [`RunReport`]. The
+/// records come from [`SliceRecords`], so the `committed_offset` of an
+/// early `--limit` exit stops short of the input length: the bytes after
+/// it were never examined. (`main` reads checkpointed file input through
+/// [`run_reader_ctl`], which can start at a resumed offset.)
 ///
 /// # Errors
 ///
@@ -808,152 +758,163 @@ pub fn run_ctl(
     input: &[u8],
     out: &mut dyn Write,
     controls: &RunControls,
-) -> Result<RunOutcome, CliError> {
-    let cancellation = controls.cancel.as_ref();
-    let mut cancelled = false;
-    let mut counts = vec![0usize; opts.queries.len()];
-    let mut total_stats = jsonski::FastForwardStats::new();
-    let mut emitted = 0usize;
-    let mut skipped = 0u64;
-    let mut resyncs = 0u64;
-    let mut resync_bytes = 0u64;
-    let mut consumed = 0usize;
-    let limits = opts.limits();
-    // Aggregate counters for the live pass; a disabled registry makes every
-    // `record_stream` call a no-op so runs without `--metrics` pay nothing.
-    let agg = if opts.metrics.is_some() {
-        Metrics::new()
-    } else {
-        Metrics::disabled()
-    };
+) -> Result<RunReport, CliError> {
+    let registry = registry(opts);
+    let mut source = SliceRecords::new(input);
+    run_records(opts, &mut source, Some(input), registry, out, controls)
+}
+
+/// Runs the tool over a streaming reader with bounded memory (used for
+/// stdin): records are pulled one at a time via [`ChunkedRecords`], so the
+/// process never holds the whole stream.
+///
+/// # Errors
+///
+/// Query-compilation, streaming, or I/O errors as strings.
+pub fn run_reader<R: std::io::Read>(
+    opts: &Options,
+    reader: R,
+    out: &mut dyn Write,
+) -> Result<Vec<usize>, String> {
+    run_reader_ctl(opts, reader, out, &RunControls::default())
+        .map(|r| r.counts)
+        .map_err(|e| e.to_string())
+}
+
+/// [`run_reader`] with [`RunControls`]. A checkpointed run keeps
+/// whole-stream coordinates: the caller has already discarded the
+/// checkpoint's `offset` bytes from the reader.
+///
+/// # Errors
+///
+/// [`CliError`], classified for exit-code selection.
+pub fn run_reader_ctl<R: std::io::Read>(
+    opts: &Options,
+    reader: R,
+    out: &mut dyn Write,
+    controls: &RunControls,
+) -> Result<RunReport, CliError> {
+    let registry = registry(opts);
+    let mut source = ChunkedRecords::new(reader)
+        .limits(opts.limits())
+        .retry(RetryPolicy::new(opts.retry));
+    if let Some(m) = &registry {
+        source = source.metrics(Arc::clone(m));
+    }
+    if let Some(token) = &controls.cancel {
+        source = source.cancel_token(token.clone());
+    }
+    if let Some(setup) = &controls.checkpoint {
+        source = source.start_offset(setup.baseline.offset);
+    }
+    run_records(opts, &mut source, None, registry, out, controls)
+}
+
+/// The one registry behind `--metrics` and `--stats`, when either asks.
+fn registry(opts: &Options) -> Option<Arc<Metrics>> {
+    (opts.metrics.is_some() || opts.stats).then(|| Arc::new(Metrics::new()))
+}
+
+/// The run loop of every input: one [`MultiQuery`] over `source` through
+/// one [`Pipeline`] into one [`WriteSink`]. `input` is the whole input when
+/// it is in memory, so multi-query `--metrics` can re-measure each query.
+fn run_records(
+    opts: &Options,
+    source: &mut dyn RecordSource,
+    input: Option<&[u8]>,
+    registry: Option<Arc<Metrics>>,
+    out: &mut dyn Write,
+    controls: &RunControls,
+) -> Result<RunReport, CliError> {
     let engine = compile_engine(opts)?;
-    let single = opts.queries.len() == 1;
-    // Per-record staging: a streaming engine can emit matches before it
-    // diagnoses an error later in the same record, so output and counts are
-    // committed only once the record evaluates cleanly — the same
-    // discard-on-failure rule the parallel pipeline applies.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut rec_counts = vec![0usize; opts.queries.len()];
-    // Records are split lazily: when `--limit` breaks the scan, the records
-    // after the break point are never even boundary-scanned.
-    let mut splitter = jsonski::RecordSplitter::new(input);
-    while let Some(span) = splitter.next() {
-        if cancellation.is_some_and(CancellationToken::is_cancelled) {
-            cancelled = true;
-            break;
-        }
-        let (s, e) = match span {
-            Ok(se) => se,
-            Err(err) => {
-                // Under --skip-malformed a broken record boundary is
-                // recoverable: resynchronize at the next raw newline and
-                // keep streaming the records after it.
-                if opts.skip_malformed {
-                    if let Some((from, to)) = splitter.resync() {
-                        skipped += 1;
-                        resyncs += 1;
-                        resync_bytes += (to - from) as u64;
-                        consumed = to;
-                        agg.record_resync((to - from) as u64);
-                        agg.record_skipped_record();
-                        continue;
-                    }
-                }
-                return Err(CliError::Fatal(err.to_string()));
-            }
-        };
-        let record = &input[s..e];
-        if record.len() > limits.max_record_bytes {
-            let err = jsonski::LimitExceeded::RecordBytes {
-                len: record.len(),
-                limit: limits.max_record_bytes,
-            };
-            if opts.skip_malformed {
-                skipped += 1;
-                consumed = e;
-                agg.record_limit_rejection();
-                agg.record_skipped_record();
-                continue;
-            }
-            return Err(CliError::Fatal(format!("resource limit exceeded: {err}")));
-        }
-        buf.clear();
-        rec_counts.iter_mut().for_each(|c| *c = 0);
-        let mut rec_emitted = 0usize;
-        // The stopwatch is a no-op unless the `metrics` feature is on AND
-        // the registry is live, so the timed wrapper costs nothing here.
-        let sw = agg.stopwatch();
-        let result = engine.stream(record, |i, m| {
-            rec_counts[i] += 1;
-            rec_emitted += 1;
-            if !opts.count_only {
-                append_match(&mut buf, single, i, &m, opts.extract);
-            }
-            if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
+    let mut pipeline = Pipeline::new()
+        .workers(opts.jobs)
+        .error_policy(opts.error_policy())
+        .limits(opts.limits())
+        .max_matches(opts.limit);
+    if let Some(m) = &registry {
+        pipeline = pipeline.metrics(Arc::clone(m));
+    }
+    if let Some(token) = &controls.cancel {
+        pipeline = pipeline.cancel_token(token.clone());
+    }
+    let mut sink = WriteSink {
+        out,
+        count_only: opts.count_only,
+        extract: opts.extract,
+        prefix: opts.queries.len() > 1,
+        counts: vec![0; opts.queries.len()],
+        io_error: None,
+        checkpoint: None,
+    };
+    if let Some(setup) = &controls.checkpoint {
+        pipeline = pipeline.checkpoints(CheckpointCadence::default().every_records(setup.every));
+        sink.checkpoint = Some(CheckpointState {
+            path: setup.path.clone(),
+            baseline: setup.baseline.clone(),
+            staged: Vec::new(),
+            flushed_bytes: setup.baseline.output_bytes,
         });
-        let eval_ns = sw.elapsed_ns();
-        agg.add_eval_ns(eval_ns);
-        match result {
-            Ok(outcome) => {
-                total_stats += outcome.stats;
-                consumed = s + outcome.consumed;
-                agg.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
-                agg.record_stream(record.len(), &outcome);
-                out.write_all(&buf)
-                    .map_err(|e| CliError::Io(e.to_string()))?;
-                for (c, d) in counts.iter_mut().zip(&rec_counts) {
-                    *c += d;
-                }
-                emitted += rec_emitted;
-                if outcome.stopped {
-                    break; // --limit reached; the rest of the input is untouched
-                }
-            }
-            Err(err) => {
-                if opts.skip_malformed {
-                    skipped += 1;
-                    consumed = e;
-                    agg.record_stream_failure(record.len());
-                    agg.record_skipped_record();
-                } else {
-                    return Err(CliError::Fatal(err.to_string()));
-                }
-            }
+    }
+    let summary = pipeline
+        .run(&engine, source, &mut sink)
+        .map_err(|e| engine_error_to_cli(&e))?;
+    // Destructuring releases the sink's reborrow of `out` so the trailer
+    // (counts line, final checkpoint) can write to it directly.
+    let WriteSink {
+        counts,
+        io_error,
+        checkpoint,
+        ..
+    } = sink;
+    if let Some(err) = io_error {
+        return Err(CliError::Io(err.to_string()));
+    }
+    // Each resynced span is one abandoned record.
+    let skipped = summary.failed + summary.resyncs;
+    if skipped > 0 {
+        eprintln!("jsonski: skipped {skipped} malformed record(s)");
+    }
+    if summary.resyncs > 0 {
+        eprintln!(
+            "jsonski: resynchronized past {} broken span(s) ({} bytes discarded)",
+            summary.resyncs, summary.resync_bytes
+        );
+    }
+    write_counts(opts, &counts, out).map_err(CliError::Io)?;
+    if let Some(state) = checkpoint {
+        if !summary.cancelled {
+            // The run finished on its own terms (end of stream or --limit):
+            // mark the checkpoint complete so a later --resume is a no-op
+            // instead of a partial re-run.
+            let mut ck = state.baseline.advanced(&summary);
+            ck.output_bytes = state.flushed_bytes;
+            ck.complete = true;
+            ck.save(&state.path)
+                .map_err(|e| CliError::Io(format!("checkpoint save failed: {e}")))?;
         }
     }
-    report_skipped(skipped);
-    report_resynced(resyncs, resync_bytes);
-    write_counts(opts, &counts, out).map_err(CliError::Io)?;
-    if opts.stats {
-        eprintln!("fast-forward: {total_stats}");
+    let metrics = registry.map(|m| m.snapshot());
+    if let Some(snap) = &metrics {
+        if opts.stats {
+            eprintln!("fast-forward: {}", snap.fast_forward_stats());
+        }
+        if let Some(mode) = opts.metrics {
+            // One query: the live pass *is* the per-query measurement.
+            // Streamed records cannot be replayed, so several queries on
+            // streamed input report the aggregate only.
+            let per_query = match (&opts.queries[..], input) {
+                ([q], _) => vec![(q.clone(), snap.clone())],
+                (_, Some(input)) => measure_queries(opts, input)?,
+                (_, None) => Vec::new(),
+            };
+            emit_metrics(mode, &per_query, snap);
+        }
     }
-    if let Some(mode) = opts.metrics {
-        // Single query: the live pass *is* the per-query measurement. With
-        // multiple queries the live pass runs them combined, so each query
-        // is re-measured on its own over the full input (`--limit` applies
-        // only to the live pass).
-        let per_query = if single {
-            vec![(opts.queries[0].clone(), agg.snapshot())]
-        } else {
-            measure_queries(
-                &opts.queries,
-                input,
-                opts.skip_malformed,
-                opts.engine_config(),
-            )
-            .map_err(CliError::Fatal)?
-        };
-        emit_metrics(mode, &per_query, &agg.snapshot());
-    }
-    Ok(RunOutcome {
+    Ok(RunReport {
         counts,
-        consumed,
-        skipped,
-        cancelled,
+        summary,
+        metrics,
     })
 }
 
@@ -968,19 +929,25 @@ struct CheckpointState {
     flushed_bytes: u64,
 }
 
-/// [`jsonski::MatchSink`] that prints matches and applies `--limit`.
+/// [`jsonski::MatchSink`] that prints matches (one per line, prefixed with
+/// the query ordinal and a tab when there are several queries) and counts
+/// them per query.
 struct WriteSink<'a> {
     out: &'a mut dyn Write,
     count_only: bool,
     extract: ExtractMode,
-    limit: usize,
-    emitted: usize,
+    prefix: bool,
+    counts: Vec<usize>,
     io_error: Option<std::io::Error>,
     checkpoint: Option<CheckpointState>,
 }
 
 impl jsonski::MatchSink for WriteSink<'_> {
     fn on_match(&mut self, m: jsonski::Match<'_>) -> ControlFlow<()> {
+        self.counts[m.query()] += 1;
+        if self.count_only {
+            return ControlFlow::Continue(());
+        }
         let decoded;
         let bytes: &[u8] = match self.extract {
             ExtractMode::Raw => m.bytes(),
@@ -992,26 +959,23 @@ impl jsonski::MatchSink for WriteSink<'_> {
                 Err(_) => m.bytes(),
             },
         };
-        self.emitted += 1;
-        if !self.count_only {
-            let result = if let Some(state) = &mut self.checkpoint {
-                state.staged.extend_from_slice(bytes);
-                state.staged.push(b'\n');
-                Ok(())
-            } else {
-                self.out
-                    .write_all(bytes)
-                    .and_then(|()| self.out.write_all(b"\n"))
-            };
-            if let Err(err) = result {
-                self.io_error = Some(err);
-                return ControlFlow::Break(());
+        let out: &mut dyn Write = match &mut self.checkpoint {
+            Some(state) => &mut state.staged,
+            None => &mut *self.out,
+        };
+        let mut line = || {
+            if self.prefix {
+                write!(out, "{}\t", m.query())?;
             }
-        }
-        if self.limit > 0 && self.emitted >= self.limit {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
+            out.write_all(bytes)?;
+            out.write_all(b"\n")
+        };
+        match line() {
+            Ok(()) => ControlFlow::Continue(()),
+            Err(err) => {
+                self.io_error = Some(err);
+                ControlFlow::Break(())
+            }
         }
     }
 
@@ -1033,296 +997,6 @@ impl jsonski::MatchSink for WriteSink<'_> {
         ck.save(&state.path).map_err(EngineError::Io)?;
         Ok(())
     }
-}
-
-/// Runs the tool over a streaming reader with bounded memory (used for
-/// stdin): records are pulled one at a time via
-/// [`jsonski::ChunkedRecords`], so the process never holds the whole
-/// stream. With `--jobs N` (single query) the records are fanned out to a
-/// [`jsonski::Pipeline`] worker pool; matches still print in record order.
-///
-/// # Errors
-///
-/// Query-compilation, streaming, or I/O errors as strings.
-pub fn run_reader<R: std::io::Read>(
-    opts: &Options,
-    reader: R,
-    out: &mut dyn Write,
-) -> Result<Vec<usize>, String> {
-    run_reader_ctl(opts, reader, out, &RunControls::default())
-        .map(|r| r.counts)
-        .map_err(|e| e.to_string())
-}
-
-fn read_error_to_cli(e: &ReadRecordError) -> CliError {
-    match e {
-        ReadRecordError::Io(_) => CliError::Io(e.to_string()),
-        _ => CliError::Fatal(e.to_string()),
-    }
-}
-
-/// [`run_reader`] with [`RunControls`]: cancellation is honoured at record
-/// boundaries, and — for single-query runs — progress can be checkpointed.
-/// A checkpointed run routes through the [`jsonski::Pipeline`] even at
-/// `--jobs 1`, because the checkpoint cadence hangs off the pipeline's
-/// in-order merge point.
-///
-/// # Errors
-///
-/// [`CliError`], classified for exit-code selection.
-pub fn run_reader_ctl<R: std::io::Read>(
-    opts: &Options,
-    reader: R,
-    out: &mut dyn Write,
-    controls: &RunControls,
-) -> Result<RunReport, CliError> {
-    if opts.queries.len() == 1 && (opts.jobs > 1 || controls.checkpoint.is_some()) {
-        return run_reader_pipeline(opts, reader, out, controls);
-    }
-    if opts.jobs > 1 {
-        eprintln!("jsonski: --jobs applies to single-query runs; running serially");
-    }
-    let limits = opts.limits();
-    let engine = compile_engine(opts)?;
-    let single = opts.queries.len() == 1;
-    let mut counts = vec![0usize; opts.queries.len()];
-    let mut total_stats = jsonski::FastForwardStats::new();
-    let mut emitted = 0usize;
-    let mut skipped = 0u64;
-    let mut resyncs = 0u64;
-    let mut resync_bytes = 0u64;
-    let agg = std::sync::Arc::new(if opts.metrics.is_some() {
-        Metrics::new()
-    } else {
-        Metrics::disabled()
-    });
-    let mut records = jsonski::ChunkedRecords::new(reader)
-        .limits(limits)
-        .retry(RetryPolicy::new(opts.retry))
-        .metrics(std::sync::Arc::clone(&agg));
-    if let Some(token) = &controls.cancel {
-        // A tripped token makes the reader report a clean end of stream at
-        // the next record boundary, so the drain below needs no extra checks.
-        records = records.cancel_token(token.clone());
-    }
-    // Same per-record staging as `run_with_outcome`: nothing from a record
-    // reaches `out` or the counts until the record evaluates cleanly.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut rec_counts = vec![0usize; opts.queries.len()];
-    loop {
-        // The record borrows the reader, so the error is carried out of the
-        // match as an owned value before `resync` re-borrows it.
-        let failure = match records.next_record() {
-            Ok(None) => break,
-            Err(e) => Some(e),
-            Ok(Some(record)) => {
-                buf.clear();
-                rec_counts.iter_mut().for_each(|c| *c = 0);
-                let mut rec_emitted = 0usize;
-                let sw = agg.stopwatch();
-                let result = engine.stream(record, |i, m| {
-                    rec_counts[i] += 1;
-                    rec_emitted += 1;
-                    if !opts.count_only {
-                        append_match(&mut buf, single, i, &m, opts.extract);
-                    }
-                    if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                let eval_ns = sw.elapsed_ns();
-                agg.add_eval_ns(eval_ns);
-                match result {
-                    Ok(outcome) => {
-                        total_stats += outcome.stats;
-                        agg.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
-                        agg.record_stream(record.len(), &outcome);
-                        out.write_all(&buf)
-                            .map_err(|e| CliError::Io(e.to_string()))?;
-                        for (c, d) in counts.iter_mut().zip(&rec_counts) {
-                            *c += d;
-                        }
-                        emitted += rec_emitted;
-                        if outcome.stopped {
-                            break;
-                        }
-                    }
-                    Err(err) => {
-                        if opts.skip_malformed {
-                            skipped += 1;
-                            agg.record_stream_failure(record.len());
-                            agg.record_skipped_record();
-                        } else {
-                            return Err(CliError::Fatal(err.to_string()));
-                        }
-                    }
-                }
-                None
-            }
-        };
-        if let Some(e) = failure {
-            // I/O failures are unrecoverable; structural and limit errors
-            // are skippable under --skip-malformed by resynchronizing at
-            // the next record boundary (the pipeline applies the same rule).
-            if !opts.skip_malformed || matches!(e, ReadRecordError::Io(_)) {
-                return Err(read_error_to_cli(&e));
-            }
-            match records.resync() {
-                Ok(Some((from, to))) => {
-                    skipped += 1;
-                    resyncs += 1;
-                    resync_bytes += to - from;
-                    agg.record_resync(to - from);
-                    agg.record_skipped_record();
-                }
-                Ok(None) => break, // nothing left to skip: clean end of stream
-                Err(e) => return Err(read_error_to_cli(&e)),
-            }
-        }
-    }
-    let cancelled = controls
-        .cancel
-        .as_ref()
-        .is_some_and(CancellationToken::is_cancelled);
-    report_skipped(skipped);
-    report_resynced(resyncs, resync_bytes);
-    write_counts(opts, &counts, out).map_err(CliError::Io)?;
-    if opts.stats {
-        eprintln!("fast-forward: {total_stats}");
-    }
-    if let Some(mode) = opts.metrics {
-        // Streamed records cannot be replayed for per-query re-measurement,
-        // so multi-query reader runs report aggregate counters only.
-        let snap = agg.snapshot();
-        let per_query = if single {
-            vec![(opts.queries[0].clone(), snap.clone())]
-        } else {
-            Vec::new()
-        };
-        emit_metrics(mode, &per_query, &snap);
-    }
-    Ok(RunReport {
-        counts,
-        skipped,
-        cancelled,
-    })
-}
-
-/// The `--jobs N` / `--checkpoint` path: records fan out to a worker pool
-/// (possibly of one) and the in-order merge step feeds this process's
-/// stdout; with a [`CheckpointSetup`], match output is staged per
-/// checkpoint interval and flushed only when the checkpoint file is saved,
-/// so the file's `output_bytes` always describes durably written output.
-fn run_reader_pipeline<R: std::io::Read>(
-    opts: &Options,
-    reader: R,
-    out: &mut dyn Write,
-    controls: &RunControls,
-) -> Result<RunReport, CliError> {
-    let limits = opts.limits();
-    let engine = JsonSki::compile(&opts.queries[0])
-        .map_err(|e| CliError::Usage(e.to_string()))?
-        .with_config(opts.engine_config());
-    let mut source = jsonski::ChunkedRecords::new(reader)
-        .limits(limits)
-        .retry(RetryPolicy::new(opts.retry));
-    let mut sink = WriteSink {
-        out,
-        count_only: opts.count_only,
-        extract: opts.extract,
-        limit: opts.limit,
-        emitted: 0,
-        io_error: None,
-        checkpoint: None,
-    };
-    let policy = if opts.skip_malformed {
-        ErrorPolicy::SkipMalformed
-    } else {
-        ErrorPolicy::FailFast
-    };
-    // One shared registry serves both `--metrics` and `--stats`: workers
-    // record into it concurrently and the snapshot is read after the join.
-    let registry = if opts.metrics.is_some() || opts.stats {
-        Some(std::sync::Arc::new(Metrics::new()))
-    } else {
-        None
-    };
-    let mut pipeline = Pipeline::new()
-        .workers(opts.jobs)
-        .error_policy(policy)
-        .limits(limits);
-    if let Some(m) = &registry {
-        pipeline = pipeline.metrics(std::sync::Arc::clone(m));
-        source = source.metrics(std::sync::Arc::clone(m));
-    }
-    if let Some(token) = &controls.cancel {
-        source = source.cancel_token(token.clone());
-        pipeline = pipeline.cancel_token(token.clone());
-    }
-    if let Some(setup) = &controls.checkpoint {
-        // Resumed segments keep whole-stream coordinates: the caller has
-        // already discarded `baseline.offset` bytes from the reader.
-        source = source.start_offset(setup.baseline.offset);
-        pipeline = pipeline.checkpoints(CheckpointCadence::default().every_records(setup.every));
-        sink.checkpoint = Some(CheckpointState {
-            path: setup.path.clone(),
-            baseline: setup.baseline.clone(),
-            staged: Vec::new(),
-            flushed_bytes: setup.baseline.output_bytes,
-        });
-    }
-    let summary = pipeline
-        .run(&engine, &mut source, &mut sink)
-        .map_err(|e| engine_error_to_cli(&e))?;
-    // Destructuring releases the sink's reborrow of `out` so the trailer
-    // (counts line, final checkpoint) can write to it directly.
-    let WriteSink {
-        emitted,
-        io_error,
-        checkpoint,
-        ..
-    } = sink;
-    if let Some(err) = io_error {
-        return Err(CliError::Io(err.to_string()));
-    }
-    // Each resynced span is one abandoned record, so the skip report matches
-    // the serial paths (which count resyncs as skips too).
-    report_skipped(summary.failed + summary.resyncs);
-    report_resynced(summary.resyncs, summary.resync_bytes);
-    let counts = vec![emitted];
-    write_counts(opts, &counts, out).map_err(CliError::Io)?;
-    if let Some(state) = checkpoint {
-        if !summary.cancelled {
-            // The run finished on its own terms (end of stream or --limit):
-            // mark the checkpoint complete so a later --resume is a no-op
-            // instead of a partial re-run.
-            let mut ck = state.baseline.advanced(&summary);
-            ck.output_bytes = state.flushed_bytes;
-            ck.complete = true;
-            ck.save(&state.path)
-                .map_err(|e| CliError::Io(format!("checkpoint save failed: {e}")))?;
-        }
-    }
-    let snap = registry.map(|m| m.snapshot());
-    if opts.stats {
-        // Fast-forward counters are reconstructed from the shared registry;
-        // under FailFast early-exit they cover the records that were
-        // actually evaluated (workers may speculate past a `--limit` break).
-        let stats = snap.as_ref().expect("registry exists when --stats is on");
-        eprintln!("fast-forward: {}", stats.fast_forward_stats());
-    }
-    if let Some(mode) = opts.metrics {
-        let snap = snap.expect("registry exists when --metrics is on");
-        let per_query = vec![(opts.queries[0].clone(), snap.clone())];
-        emit_metrics(mode, &per_query, &snap);
-    }
-    Ok(RunReport {
-        counts,
-        skipped: summary.failed + summary.resyncs,
-        cancelled: summary.cancelled,
-    })
 }
 
 #[cfg(test)]
@@ -1510,13 +1184,7 @@ mod tests {
         }
         doc.push_str("99], \"a\": 1}\n");
         let input = doc.as_bytes();
-        let per = measure_queries(
-            &["$.big[*]".to_string(), "$.a".to_string()],
-            input,
-            false,
-            EngineConfig::default(),
-        )
-        .unwrap();
+        let per = measure_queries(&args(&["$.big[*]", "$.a"]).unwrap(), input).unwrap();
         assert_eq!(per.len(), 2);
         let json = render_metrics(MetricsMode::Json, &per, &per[0].1);
         assert!(json.starts_with("{\"queries\":["));
@@ -1544,9 +1212,9 @@ mod tests {
     #[test]
     fn measure_queries_respects_skip_malformed() {
         let input = b"{\"a\": 1}\n{\"a\" 2}\n{\"a\": 3}\n";
-        let cfg = EngineConfig::default();
-        assert!(measure_queries(&["$.a".to_string()], input, false, cfg).is_err());
-        let per = measure_queries(&["$.a".to_string()], input, true, cfg).unwrap();
+        assert!(measure_queries(&args(&["$.a"]).unwrap(), input).is_err());
+        let lenient = args(&["--skip-malformed", "$.a"]).unwrap();
+        let per = measure_queries(&lenient, input).unwrap();
         assert_eq!(per[0].1.records_skipped, 1);
         assert_eq!(per[0].1.records_failed, 1);
         assert_eq!(per[0].1.matches_emitted, 2);
@@ -1610,14 +1278,46 @@ mod tests {
         }
         let o = args(&["-n", "1", "$.a"]).unwrap();
         let mut out = Vec::new();
-        let outcome = run_with_outcome(&o, &input, &mut out).unwrap();
-        assert_eq!(outcome.counts, vec![1]);
+        let report = run_ctl(&o, &input, &mut out, &RunControls::default()).unwrap();
+        assert_eq!(report.counts, vec![1]);
+        assert!(report.summary.stopped);
+        let consumed = report.summary.committed_offset;
         assert!(
-            outcome.consumed < input.len() / 10,
-            "consumed {} of {} bytes",
-            outcome.consumed,
+            consumed < input.len() as u64 / 10,
+            "consumed {consumed} of {} bytes",
             input.len()
         );
+    }
+
+    #[test]
+    fn limit_stops_scanning_inside_one_large_record() {
+        // One ~4 MiB array: `-n 1` must stop the engine inside the record,
+        // through the pipeline, serial or not, from memory or a reader.
+        let mut input = b"[".to_vec();
+        while input.len() < 4 << 20 {
+            input.extend_from_slice(b"12345, ");
+        }
+        input.extend_from_slice(b"0]\n");
+        let words = (input.len() / 64) as u64;
+        for jobs in ["1", "2"] {
+            let o = args(&["-j", jobs, "-n", "1", "--stats", "$[*]"]).unwrap();
+            for from_reader in [false, true] {
+                let mut out = Vec::new();
+                let report = if from_reader {
+                    run_reader_ctl(&o, &input[..], &mut out, &RunControls::default())
+                } else {
+                    run_ctl(&o, &input, &mut out, &RunControls::default())
+                }
+                .unwrap();
+                assert_eq!(out, b"12345\n");
+                assert!(report.summary.stopped);
+                let classified = report.metrics.unwrap().words_classified;
+                assert!(
+                    classified * 100 < words,
+                    "-j {jobs} (reader: {from_reader}): classified {classified} of {words} words"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1783,18 +1483,6 @@ mod reader_tests {
     use super::*;
 
     #[test]
-    fn run_reader_matches_run_on_same_input() {
-        let input = b"{\"a\": 1}\n{\"a\": 2}\n{\"b\": {\"a\": 3}}\n";
-        let o = parse_args(["$.a".to_string()]).unwrap();
-        let mut out_mem = Vec::new();
-        let c1 = run(&o, input, &mut out_mem).unwrap();
-        let mut out_stream = Vec::new();
-        let c2 = run_reader(&o, &input[..], &mut out_stream).unwrap();
-        assert_eq!(c1, c2);
-        assert_eq!(out_mem, out_stream);
-    }
-
-    #[test]
     fn run_reader_multi_query() {
         let input = b"{\"a\": 1, \"b\": 2}\n{\"a\": 3}\n";
         let o = parse_args(["$.a".to_string(), "$.b".to_string()]).unwrap();
@@ -1916,22 +1604,6 @@ mod reader_tests {
             assert_eq!(counts, vec![2], "jobs={jobs}");
             assert_eq!(out, b"1\n3\n", "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn run_reader_parallel_output_matches_serial() {
-        let mut input = Vec::new();
-        for i in 0..200 {
-            input.extend_from_slice(format!("{{\"a\": [{i}, {i}]}}\n").as_bytes());
-        }
-        let serial = parse_args(["$.a[*]".to_string()]).unwrap();
-        let mut out_serial = Vec::new();
-        let c1 = run_reader(&serial, &input[..], &mut out_serial).unwrap();
-        let parallel = parse_args(["-j".into(), "4".into(), "$.a[*]".into()]).unwrap();
-        let mut out_parallel = Vec::new();
-        let c2 = run_reader(&parallel, &input[..], &mut out_parallel).unwrap();
-        assert_eq!(c1, c2);
-        assert_eq!(out_serial, out_parallel, "merge must preserve record order");
     }
 
     #[test]

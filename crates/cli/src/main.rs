@@ -74,9 +74,9 @@ fn run(
     controls: &mut RunControls,
     out: &mut dyn Write,
 ) -> Result<RunReport, CliError> {
-    // A checkpointed run must stream (the checkpoint cadence hangs off the
-    // pipeline merge), so `--checkpoint` routes file input through the same
-    // reader path as stdin instead of the in-memory fast path.
+    // A resumed run starts mid-input, so `--checkpoint` routes file input
+    // through the same reader as stdin, which keeps whole-stream offsets
+    // after the committed prefix is discarded.
     if opts.checkpoint.is_some() {
         let identity = match &opts.file {
             Some(path) => InputIdentity::of_file(std::path::Path::new(path))
@@ -89,8 +89,8 @@ fn run(
             eprintln!("jsonski: checkpoint marks this run complete; nothing to resume");
             return Ok(RunReport {
                 counts: vec![0; opts.queries.len()],
-                skipped: 0,
-                cancelled: false,
+                summary: jsonski::PipelineSummary::default(),
+                metrics: None,
             });
         }
         let start = plan.start_offset;
@@ -112,12 +112,7 @@ fn run(
     match &opts.file {
         Some(path) => {
             let input = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            let outcome = jsonski_cli::run_ctl(opts, &input, out, controls)?;
-            Ok(RunReport {
-                counts: outcome.counts,
-                skipped: outcome.skipped,
-                cancelled: outcome.cancelled,
-            })
+            jsonski_cli::run_ctl(opts, &input, out, controls)
         }
         // Stdin is processed record by record with bounded memory.
         None => jsonski_cli::run_reader_ctl(opts, std::io::stdin().lock(), out, controls),

@@ -43,8 +43,14 @@ fn make_input(path: &Path, records: usize, dirty: bool) {
     std::fs::write(path, input).unwrap();
 }
 
-fn reference_output(input: &Path, skip_malformed: bool) -> Vec<u8> {
-    let mut args = vec!["$.id".to_string(), input.display().to_string()];
+/// The query of the single-query runs.
+const ONE: &[&str] = &["$.id"];
+/// A query set whose matches interleave within records.
+const TWO: &[&str] = &["$.id", "$.pad[0]"];
+
+fn reference_output(input: &Path, queries: &[&str], skip_malformed: bool) -> Vec<u8> {
+    let mut args: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
+    args.push(input.display().to_string());
     if skip_malformed {
         args.push("--skip-malformed".to_string());
     }
@@ -63,14 +69,15 @@ fn reference_output(input: &Path, skip_malformed: bool) -> Vec<u8> {
 fn run_segment(
     input: &Path,
     ck_path: &Path,
+    queries: &[&str],
     resume: bool,
     jobs: usize,
     skip_malformed: bool,
     kill: bool,
 ) -> (Vec<u8>, bool) {
     let jobs = jobs.to_string();
-    let mut args = vec![
-        "$.id",
+    let mut args = queries.to_vec();
+    args.extend([
         input.to_str().unwrap(),
         "--checkpoint",
         ck_path.to_str().unwrap(),
@@ -78,7 +85,7 @@ fn run_segment(
         "64",
         "-j",
         &jobs,
-    ];
+    ]);
     if skip_malformed {
         args.push("--skip-malformed");
     }
@@ -138,12 +145,12 @@ fn run_segment(
 
 /// The torture loop: kill-and-resume until the run completes, splicing
 /// together each segment's durable prefix.
-fn torture(tag: &str, jobs: usize, skip_malformed: bool, records: usize) {
+fn torture(tag: &str, queries: &[&str], jobs: usize, skip_malformed: bool, records: usize) {
     let dir = scratch(tag);
     let input = dir.join("input.jsonl");
     let ck_path = dir.join("run.ckpt");
     make_input(&input, records, skip_malformed);
-    let reference = reference_output(&input, skip_malformed);
+    let reference = reference_output(&input, queries, skip_malformed);
 
     let mut assembled: Vec<u8> = Vec::new();
     let mut durable = 0u64; // output_bytes as of the last accepted segment
@@ -151,7 +158,15 @@ fn torture(tag: &str, jobs: usize, skip_malformed: bool, records: usize) {
     let mut kills = 0usize;
     loop {
         let kill = kills < 8;
-        let (stdout, finished) = run_segment(&input, &ck_path, resume, jobs, skip_malformed, kill);
+        let (stdout, finished) = run_segment(
+            &input,
+            &ck_path,
+            queries,
+            resume,
+            jobs,
+            skip_malformed,
+            kill,
+        );
         let ck = Checkpoint::load(&ck_path).expect("checkpoint readable after segment");
         if finished && ck.complete {
             // The final segment's stdout is entirely durable (the run
@@ -186,17 +201,27 @@ fn torture(tag: &str, jobs: usize, skip_malformed: bool, records: usize) {
 
 #[test]
 fn kill_and_resume_serial_fail_fast() {
-    torture("serial-ff", 1, false, 30_000);
+    torture("serial-ff", ONE, 1, false, 30_000);
 }
 
 #[test]
 fn kill_and_resume_parallel_fail_fast() {
-    torture("par2-ff", 2, false, 30_000);
+    torture("par2-ff", ONE, 2, false, 30_000);
 }
 
 #[test]
 fn kill_and_resume_parallel_skip_malformed() {
-    torture("par8-skip", 8, true, 30_000);
+    torture("par8-skip", ONE, 8, true, 30_000);
+}
+
+#[test]
+fn kill_and_resume_two_queries_serial() {
+    torture("two-serial", TWO, 1, false, 30_000);
+}
+
+#[test]
+fn kill_and_resume_two_queries_parallel() {
+    torture("two-par4", TWO, 4, false, 30_000);
 }
 
 #[test]
@@ -205,13 +230,13 @@ fn resuming_a_complete_run_is_a_no_op() {
     let input = dir.join("input.jsonl");
     let ck_path = dir.join("run.ckpt");
     make_input(&input, 500, false);
-    let (stdout, finished) = run_segment(&input, &ck_path, false, 2, false, false);
+    let (stdout, finished) = run_segment(&input, &ck_path, ONE, false, 2, false, false);
     assert!(finished);
     assert!(!stdout.is_empty());
     let ck = Checkpoint::load(&ck_path).unwrap();
     assert!(ck.complete);
     // Resume: nothing to do, exit 0, no duplicate output.
-    let (stdout, _) = run_segment(&input, &ck_path, true, 2, false, false);
+    let (stdout, _) = run_segment(&input, &ck_path, ONE, true, 2, false, false);
     assert!(stdout.is_empty(), "complete resume re-emitted output");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -222,7 +247,7 @@ fn resume_refuses_a_different_query_or_input() {
     let input = dir.join("input.jsonl");
     let ck_path = dir.join("run.ckpt");
     make_input(&input, 500, false);
-    let (_, finished) = run_segment(&input, &ck_path, false, 1, false, false);
+    let (_, finished) = run_segment(&input, &ck_path, ONE, false, 1, false, false);
     assert!(finished);
     // Different query → the config digest differs → usage error (exit 1).
     let out = Command::new(bin())

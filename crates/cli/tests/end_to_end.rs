@@ -138,3 +138,40 @@ fn multi_query_stdin() {
     assert!(stdout.contains("1\t2"));
     assert_eq!(code, Some(0));
 }
+
+#[test]
+fn jobs_fan_file_records_out_for_any_number_of_queries() {
+    let dir = std::env::temp_dir().join(format!("jsonski-fanout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("d.ndjson");
+    let mut input = String::new();
+    for i in 0..4000 {
+        input.push_str(&format!("{{\"a\": {i}, \"b\": [{i}, {i}, {i}]}}\n"));
+    }
+    std::fs::write(&path, input).unwrap();
+    let file = path.to_str().unwrap();
+    for queries in [&["$.a"][..], &["$.a", "$.b[1]"][..]] {
+        let mut args = vec!["-j", "2", "--metrics", "json"];
+        args.extend(queries);
+        args.push(file);
+        let (stdout, stderr, code) = run_with_stdin(&args, b"");
+        assert_eq!(code, Some(0), "{stderr}");
+        assert_eq!(stdout.lines().count(), 4000 * queries.len());
+        assert!(!stderr.contains("serially"), "{stderr}");
+        // The live run's registry is the `aggregate` object; its
+        // per-worker record counts show where the records ran.
+        let aggregate = &stderr[stderr.find("\"aggregate\":").expect("aggregate metrics")..];
+        let list = &aggregate[aggregate.find("\"worker_records\":[").unwrap() + 18..];
+        let per_worker: Vec<u64> = list[..list.find(']').unwrap()]
+            .split(',')
+            .map(|n| n.parse().unwrap())
+            .collect();
+        assert_eq!(per_worker.iter().sum::<u64>(), 4000, "{per_worker:?}");
+        assert_eq!(
+            per_worker.iter().filter(|&&n| n > 0).count(),
+            2,
+            "queries {queries:?}: records ran on {per_worker:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

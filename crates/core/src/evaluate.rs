@@ -6,10 +6,11 @@
 //! question: *which byte spans of this record match the query?* This module
 //! captures that contract once:
 //!
-//! * [`Match`] — one delivered match: record ordinal, normalized byte span,
-//!   and a zero-copy [`LazyValue`](crate::LazyValue) handle over the record
-//!   buffer. Construction goes through [`Match::new`], the single
-//!   span-normalization point, so all five engines emit identical spans.
+//! * [`Match`] — one delivered match: record ordinal, query ordinal,
+//!   normalized byte span, and a zero-copy [`LazyValue`](crate::LazyValue)
+//!   handle over the record buffer. Construction goes through
+//!   [`Match::new`], the single span-normalization point, so all five
+//!   engines emit identical spans.
 //! * [`MatchSink`] — a visitor receiving matches (and per-record errors) with
 //!   [`ControlFlow`]-based early exit: return [`ControlFlow::Break`] from
 //!   [`MatchSink::on_match`] and the engine stops scanning. For streaming
@@ -20,13 +21,14 @@
 //! * [`EngineError`] / [`ErrorPolicy`] — typed errors and the skip-or-fail
 //!   decision for multi-record streams (see [`Pipeline`]).
 //!
-//! [`StreamOutcome::consumed`]: crate::StreamOutcome::consumed
+//! [`StreamOutcome::consumed`]: StreamOutcome::consumed
 //! [`Pipeline`]: crate::Pipeline
 
 use std::error::Error;
 use std::fmt;
 use std::ops::ControlFlow;
 
+use crate::engine::StreamOutcome;
 use crate::error::StreamError;
 use crate::limits::{LimitExceeded, ResourceLimits};
 
@@ -223,8 +225,9 @@ pub enum ErrorPolicy {
     SkipMalformed,
 }
 
-/// One delivered match: which record it came from, its byte span within
-/// that record, and zero-copy access to the matched bytes.
+/// One delivered match: which record it came from, which query of the
+/// engine it answers, its byte span within that record, and zero-copy
+/// access to the matched bytes.
 ///
 /// Every engine constructs matches through [`Match::new`], which normalizes
 /// the span (clamped to the record, JSON whitespace trimmed from both
@@ -236,16 +239,18 @@ pub enum ErrorPolicy {
 #[derive(Clone, Copy, Debug)]
 pub struct Match<'a> {
     record_idx: u64,
+    query: usize,
     record: &'a [u8],
     span: (usize, usize),
 }
 
 impl<'a> Match<'a> {
-    /// Builds a match from a record buffer and a value span, normalizing
-    /// the span.
+    /// Builds a match of query `0` from a record buffer and a value span,
+    /// normalizing the span.
     pub fn new(record_idx: u64, record: &'a [u8], span: (usize, usize)) -> Self {
         Match {
             record_idx,
+            query: 0,
             record,
             span: crate::lazy::normalize_span(record, span),
         }
@@ -268,6 +273,13 @@ impl<'a> Match<'a> {
     /// single-record evaluation).
     pub fn record_idx(&self) -> u64 {
         self.record_idx
+    }
+
+    /// Zero-based ordinal of the query this match answers: its position in
+    /// a [`MultiQuery`](crate::MultiQuery)'s query set, always `0` for
+    /// one-query engines.
+    pub fn query(&self) -> usize {
+        self.query
     }
 
     /// The whole record buffer the match borrows from.
@@ -297,6 +309,13 @@ impl<'a> Match<'a> {
     #[must_use]
     pub fn with_record_idx(self, record_idx: u64) -> Self {
         Match { record_idx, ..self }
+    }
+
+    /// The same match restamped with a different query ordinal (used by
+    /// multi-query engines and by replays of staged matches).
+    #[must_use]
+    pub fn with_query(self, query: usize) -> Self {
+        Match { query, ..self }
     }
 }
 
@@ -442,36 +461,75 @@ pub trait Evaluate: Sync {
     }
 }
 
+/// The outcome mapping every streaming engine shares (`JsonSki`,
+/// [`IndexedJsonSki`](crate::IndexedJsonSki) and
+/// [`MultiQuery`](crate::MultiQuery)): the record-size pre-check, then one
+/// `stream` pass mapped from [`StreamOutcome`] to [`RecordOutcome`]. With a
+/// recording `metrics` registry it also adds the live counters: per-group
+/// fast-forward bytes, bitmap words classified and cache hits, and the
+/// bitmap-construction vs. traversal time split. A failed record
+/// contributes nothing to the fast-forward or bitmap counters.
+pub(crate) fn stream_outcome(
+    record: &[u8],
+    limits: &ResourceLimits,
+    metrics: Option<&crate::Metrics>,
+    stream: impl FnOnce() -> Result<StreamOutcome, StreamError>,
+) -> RecordOutcome {
+    let metrics = metrics.filter(|m| m.is_enabled());
+    let outcome = if record.len() > limits.max_record_bytes {
+        RecordOutcome::Failed(EngineError::Limit(LimitExceeded::RecordBytes {
+            len: record.len(),
+            limit: limits.max_record_bytes,
+        }))
+    } else {
+        let sw = metrics.map(crate::Metrics::stopwatch);
+        let result = stream();
+        let eval_ns = sw.map_or(0, |sw| sw.elapsed_ns());
+        match result {
+            Ok(o) => {
+                if let Some(m) = metrics {
+                    m.record_fast_forward(&o.stats);
+                    m.record_bitmap(o.words_classified as u64, o.word_cache_hits);
+                    m.add_eval_ns(eval_ns);
+                    m.add_build_ns(o.classify_ns);
+                    m.add_traverse_ns(eval_ns.saturating_sub(o.classify_ns));
+                }
+                if o.stopped {
+                    RecordOutcome::Stopped { matches: o.matches }
+                } else {
+                    RecordOutcome::Complete { matches: o.matches }
+                }
+            }
+            Err(e) => {
+                if let Some(m) = metrics {
+                    m.add_eval_ns(eval_ns);
+                }
+                RecordOutcome::Failed(classify_stream_error(e, limits))
+            }
+        }
+    };
+    if let Some(m) = metrics {
+        if matches!(outcome, RecordOutcome::Failed(EngineError::Limit(_))) {
+            m.record_limit_rejection();
+        }
+        m.record_outcome(record.len(), &outcome);
+    }
+    outcome
+}
+
 impl Evaluate for crate::JsonSki {
     fn name(&self) -> &'static str {
         "JSONSki"
     }
 
     fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
-        let limits = self.config().limits;
-        if record.len() > limits.max_record_bytes {
-            return RecordOutcome::Failed(EngineError::Limit(LimitExceeded::RecordBytes {
-                len: record.len(),
-                limit: limits.max_record_bytes,
-            }));
-        }
-        match self.stream(record, |m| sink.on_match(m.with_record_idx(record_idx))) {
-            Ok(outcome) if outcome.stopped => RecordOutcome::Stopped {
-                matches: outcome.matches,
-            },
-            Ok(outcome) => RecordOutcome::Complete {
-                matches: outcome.matches,
-            },
-            Err(e) => RecordOutcome::Failed(classify_stream_error(e, &limits)),
-        }
+        stream_outcome(record, &self.config().limits, None, || {
+            self.stream(record, |m| sink.on_match(m.with_record_idx(record_idx)))
+        })
     }
 
-    /// JSONSki's override reads the live [`StreamOutcome`] counters:
-    /// per-group fast-forward bytes, bitmap words classified and cache
-    /// hits, and the bitmap-construction vs. traversal time split. Failed
-    /// records contribute nothing to the fast-forward or bitmap counters.
-    ///
-    /// [`StreamOutcome`]: crate::StreamOutcome
+    /// JSONSki's override reads the live [`StreamOutcome`] counters (see
+    /// the shared outcome mapping).
     fn evaluate_metered(
         &self,
         record: &[u8],
@@ -479,50 +537,9 @@ impl Evaluate for crate::JsonSki {
         sink: &mut dyn MatchSink,
         metrics: &crate::Metrics,
     ) -> RecordOutcome {
-        if !metrics.is_enabled() {
-            return self.evaluate(record, record_idx, sink);
-        }
-        let limits = self.config().limits;
-        if record.len() > limits.max_record_bytes {
-            let ro = RecordOutcome::Failed(EngineError::Limit(LimitExceeded::RecordBytes {
-                len: record.len(),
-                limit: limits.max_record_bytes,
-            }));
-            metrics.record_limit_rejection();
-            metrics.record_outcome(record.len(), &ro);
-            return ro;
-        }
-        let sw = metrics.stopwatch();
-        match self.stream(record, |m| sink.on_match(m.with_record_idx(record_idx))) {
-            Ok(outcome) => {
-                let eval_ns = sw.elapsed_ns();
-                metrics.record_fast_forward(&outcome.stats);
-                metrics.record_bitmap(outcome.words_classified as u64, outcome.word_cache_hits);
-                metrics.add_eval_ns(eval_ns);
-                metrics.add_build_ns(outcome.classify_ns);
-                metrics.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
-                let ro = if outcome.stopped {
-                    RecordOutcome::Stopped {
-                        matches: outcome.matches,
-                    }
-                } else {
-                    RecordOutcome::Complete {
-                        matches: outcome.matches,
-                    }
-                };
-                metrics.record_outcome(record.len(), &ro);
-                ro
-            }
-            Err(e) => {
-                metrics.add_eval_ns(sw.elapsed_ns());
-                let ro = RecordOutcome::Failed(classify_stream_error(e, &limits));
-                if matches!(ro, RecordOutcome::Failed(EngineError::Limit(_))) {
-                    metrics.record_limit_rejection();
-                }
-                metrics.record_outcome(record.len(), &ro);
-                ro
-            }
-        }
+        stream_outcome(record, &self.config().limits, Some(metrics), || {
+            self.stream(record, |m| sink.on_match(m.with_record_idx(record_idx)))
+        })
     }
 }
 

@@ -65,8 +65,7 @@ use simdbits::{classify_stream, BlockBitmaps, Classifier, BLOCK};
 use crate::checkpoint::{digest_parts, fingerprint, FINGERPRINT_BYTES};
 use crate::engine::{EngineConfig, JsonSki};
 use crate::error::StreamError;
-use crate::evaluate::{classify_stream_error, EngineError, Evaluate, MatchSink, RecordOutcome};
-use crate::limits::LimitExceeded;
+use crate::evaluate::{stream_outcome, EngineError, Evaluate, MatchSink, RecordOutcome};
 use crate::pipeline::RecordSource;
 
 /// Magic prefix of an index file; bump the digit on any layout change so
@@ -655,6 +654,32 @@ impl<'a> IndexedJsonSki<'a> {
             stats.skipped_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
+
+    /// Both [`Evaluate`] entry points: the prebuilt-bitmap pass when the
+    /// index can place the record, a plain pass otherwise, mapped by the
+    /// shared outcome helper (words "classified" on the prebuilt path are
+    /// words served from the index; `classify_ns` is the time the index
+    /// saved, reported as 0).
+    fn evaluate_with(
+        &self,
+        record: &[u8],
+        record_idx: u64,
+        sink: &mut dyn MatchSink,
+        metrics: Option<&crate::Metrics>,
+    ) -> RecordOutcome {
+        let limits = self.engine.config().limits;
+        let mut deliver = |m: crate::Match<'_>| sink.on_match(m.with_record_idx(record_idx));
+        match self.prebuilt_for(record, record_idx) {
+            Some(prebuilt) => stream_outcome(record, &limits, metrics, || {
+                self.engine
+                    .stream_prebuilt(record, prebuilt, &mut deliver)
+                    .inspect(|o| self.count_skip(record, o.words_classified))
+            }),
+            None => stream_outcome(record, &limits, metrics, || {
+                self.engine.stream(record, &mut deliver)
+            }),
+        }
+    }
 }
 
 impl Evaluate for IndexedJsonSki<'_> {
@@ -663,38 +688,9 @@ impl Evaluate for IndexedJsonSki<'_> {
     }
 
     fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
-        let Some(prebuilt) = self.prebuilt_for(record, record_idx) else {
-            return self.engine.evaluate(record, record_idx, sink);
-        };
-        let limits = self.engine.config().limits;
-        if record.len() > limits.max_record_bytes {
-            return RecordOutcome::Failed(EngineError::Limit(LimitExceeded::RecordBytes {
-                len: record.len(),
-                limit: limits.max_record_bytes,
-            }));
-        }
-        match self.engine.stream_prebuilt(record, prebuilt, |m| {
-            sink.on_match(m.with_record_idx(record_idx))
-        }) {
-            Ok(outcome) => {
-                self.count_skip(record, outcome.words_classified);
-                if outcome.stopped {
-                    RecordOutcome::Stopped {
-                        matches: outcome.matches,
-                    }
-                } else {
-                    RecordOutcome::Complete {
-                        matches: outcome.matches,
-                    }
-                }
-            }
-            Err(e) => RecordOutcome::Failed(classify_stream_error(e, &limits)),
-        }
+        self.evaluate_with(record, record_idx, sink, None)
     }
 
-    /// Mirrors [`JsonSki::evaluate_metered`]'s counter accounting over the
-    /// prebuilt-bitmap path (words "classified" are words served from the
-    /// index; `classify_ns` is the time the index saved, reported as 0).
     fn evaluate_metered(
         &self,
         record: &[u8],
@@ -702,58 +698,7 @@ impl Evaluate for IndexedJsonSki<'_> {
         sink: &mut dyn MatchSink,
         metrics: &crate::Metrics,
     ) -> RecordOutcome {
-        if !metrics.is_enabled() {
-            return self.evaluate(record, record_idx, sink);
-        }
-        let Some(prebuilt) = self.prebuilt_for(record, record_idx) else {
-            return self
-                .engine
-                .evaluate_metered(record, record_idx, sink, metrics);
-        };
-        let limits = self.engine.config().limits;
-        if record.len() > limits.max_record_bytes {
-            let ro = RecordOutcome::Failed(EngineError::Limit(LimitExceeded::RecordBytes {
-                len: record.len(),
-                limit: limits.max_record_bytes,
-            }));
-            metrics.record_limit_rejection();
-            metrics.record_outcome(record.len(), &ro);
-            return ro;
-        }
-        let sw = metrics.stopwatch();
-        match self.engine.stream_prebuilt(record, prebuilt, |m| {
-            sink.on_match(m.with_record_idx(record_idx))
-        }) {
-            Ok(outcome) => {
-                let eval_ns = sw.elapsed_ns();
-                self.count_skip(record, outcome.words_classified);
-                metrics.record_fast_forward(&outcome.stats);
-                metrics.record_bitmap(outcome.words_classified as u64, outcome.word_cache_hits);
-                metrics.add_eval_ns(eval_ns);
-                metrics.add_build_ns(outcome.classify_ns);
-                metrics.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
-                let ro = if outcome.stopped {
-                    RecordOutcome::Stopped {
-                        matches: outcome.matches,
-                    }
-                } else {
-                    RecordOutcome::Complete {
-                        matches: outcome.matches,
-                    }
-                };
-                metrics.record_outcome(record.len(), &ro);
-                ro
-            }
-            Err(e) => {
-                metrics.add_eval_ns(sw.elapsed_ns());
-                let ro = RecordOutcome::Failed(classify_stream_error(e, &limits));
-                if matches!(ro, RecordOutcome::Failed(EngineError::Limit(_))) {
-                    metrics.record_limit_rejection();
-                }
-                metrics.record_outcome(record.len(), &ro);
-                ro
-            }
-        }
+        self.evaluate_with(record, record_idx, sink, Some(metrics))
     }
 }
 

@@ -377,42 +377,6 @@ impl Metrics {
         }
     }
 
-    /// Records everything a serial streaming pass knows about one clean
-    /// record in one call: evaluated- and delivered-side counters plus
-    /// fast-forward and bitmap work from the [`StreamOutcome`].
-    ///
-    /// [`StreamOutcome`]: crate::StreamOutcome
-    pub fn record_stream(&self, record_len: usize, outcome: &crate::StreamOutcome) {
-        if !self.enabled {
-            return;
-        }
-        let ro = if outcome.stopped {
-            crate::RecordOutcome::Stopped {
-                matches: outcome.matches,
-            }
-        } else {
-            crate::RecordOutcome::Complete {
-                matches: outcome.matches,
-            }
-        };
-        self.record_outcome(record_len, &ro);
-        self.record_fast_forward(&outcome.stats);
-        self.record_bitmap(outcome.words_classified as u64, outcome.word_cache_hits);
-        self.add_build_ns(outcome.classify_ns);
-        self.record_delivered(outcome.matches as u64, record_len as u64);
-    }
-
-    /// Records a failed record seen on a serial streaming pass (evaluated
-    /// side only; the record delivers nothing).
-    pub fn record_stream_failure(&self, record_len: usize) {
-        if !self.enabled {
-            return;
-        }
-        sat_add(&self.records_failed, 1);
-        sat_add(&self.bytes_failed, record_len as u64);
-        self.record_bytes.observe(record_len as u64);
-    }
-
     /// Records one transparently retried transient I/O error
     /// (`Interrupted`, or `WouldBlock`/`TimedOut` within the reader's
     /// [`RetryPolicy`](crate::RetryPolicy) budget).
@@ -1081,24 +1045,5 @@ mod tests {
         assert_eq!(delta.resyncs, 1);
         assert_eq!(delta.resync_bytes, 8);
         assert_eq!(delta.io_retries, 0);
-    }
-
-    #[test]
-    fn record_stream_covers_both_sides() {
-        let q = crate::JsonSki::compile("$.a").unwrap();
-        let json = br#"{"a": 1, "pad": [1, 2, 3]}"#;
-        let outcome = q
-            .stream(json, |_| std::ops::ControlFlow::Continue(()))
-            .unwrap();
-        let m = Metrics::new();
-        m.record_stream(json.len(), &outcome);
-        let s = m.snapshot();
-        assert_eq!(s.records_evaluated, 1);
-        assert_eq!(s.records_delivered, 1);
-        assert_eq!(s.matches_emitted, 1);
-        assert_eq!(s.matches_delivered, 1);
-        assert_eq!(s.bytes_evaluated, json.len() as u64);
-        assert!(s.overall_ff_ratio() > 0.0);
-        assert!(s.words_classified > 0);
     }
 }

@@ -22,7 +22,7 @@ use jsonpath::{
 use crate::cursor::Cursor;
 use crate::engine::{evaluate, EngineConfig, QuerySet, Settled};
 use crate::error::StreamError;
-use crate::evaluate::Match;
+use crate::evaluate::{stream_outcome, Evaluate, Match, MatchSink, RecordOutcome};
 use crate::stats::FastForwardStats;
 
 /// A set of compiled queries evaluated together in one streaming pass.
@@ -141,6 +141,44 @@ impl MultiQuery {
         let mut counts = vec![0usize; self.paths.len()];
         self.run(input, |i, _| counts[i] += 1)?;
         Ok(counts)
+    }
+
+    /// Both [`Evaluate`] entry points, through the outcome mapping shared
+    /// with [`JsonSki`](crate::JsonSki).
+    fn evaluate_with(
+        &self,
+        record: &[u8],
+        record_idx: u64,
+        sink: &mut dyn MatchSink,
+        metrics: Option<&crate::Metrics>,
+    ) -> RecordOutcome {
+        stream_outcome(record, &self.config.limits, metrics, || {
+            self.stream(record, |q, m| {
+                sink.on_match(m.with_record_idx(record_idx).with_query(q))
+            })
+        })
+    }
+}
+
+/// Each match carries its query's ordinal ([`Match::query`]), so a sink
+/// behind a [`Pipeline`](crate::Pipeline) can tell the queries apart.
+impl Evaluate for MultiQuery {
+    fn name(&self) -> &'static str {
+        "JSONSki+multi"
+    }
+
+    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
+        self.evaluate_with(record, record_idx, sink, None)
+    }
+
+    fn evaluate_metered(
+        &self,
+        record: &[u8],
+        record_idx: u64,
+        sink: &mut dyn MatchSink,
+        metrics: &crate::Metrics,
+    ) -> RecordOutcome {
+        self.evaluate_with(record, record_idx, sink, Some(metrics))
     }
 }
 
@@ -560,6 +598,58 @@ mod tests {
                 );
             }
             assert_eq!(multi.words_classified, single.words_classified, "{query}");
+        }
+    }
+
+    #[test]
+    fn evaluate_stamps_each_match_with_its_query() {
+        let mq = MultiQuery::compile(&["$.b", "$.a"]).unwrap();
+        let mut got = Vec::new();
+        let mut sink = crate::FnSink::new(|m: Match<'_>| {
+            got.push((m.record_idx(), m.query(), m.bytes().to_vec()));
+            ControlFlow::Continue(())
+        });
+        let outcome = mq.evaluate(br#"{"a": 1, "b": "two"}"#, 7, &mut sink);
+        assert_eq!(outcome.matches(), 2);
+        got.sort();
+        assert_eq!(
+            got,
+            vec![(7, 0, b"\"two\"".to_vec()), (7, 1, b"1".to_vec())]
+        );
+    }
+
+    #[test]
+    fn one_query_evaluate_metered_counts_like_jsonski() {
+        let records: [&[u8]; 4] = [
+            br#"{"n": 1, "a": [0, 1, {"id": 4}], "b": {"id": 5}}"#,
+            br#"{"a": [3, 30}"#,
+            br#"{"a": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]}"#,
+            br#"{"b": {"id": 6}, "pad": "xxxxxxxx"}"#,
+        ];
+        let config = EngineConfig::builder()
+            .limits(crate::ResourceLimits::default().max_record_bytes(50))
+            .build();
+        for query in ["$.a[*]", "$.b.id", "$..id"] {
+            let single = crate::JsonSki::compile(query).unwrap().with_config(config);
+            let multi = MultiQuery::compile(&[query]).unwrap().with_config(config);
+            let (ms, mm) = (crate::Metrics::new(), crate::Metrics::new());
+            for (i, r) in records.iter().enumerate() {
+                let mut sink = crate::CountSink::default();
+                let a = single.evaluate_metered(r, i as u64, &mut sink, &ms);
+                let b = multi.evaluate_metered(r, i as u64, &mut sink, &mm);
+                assert_eq!(a.matches(), b.matches(), "{query} record {i}");
+                assert_eq!(a.is_failed(), b.is_failed(), "{query} record {i}");
+            }
+            let (s, m) = (ms.snapshot(), mm.snapshot());
+            let counters = |x: &crate::MetricsSnapshot| {
+                (
+                    (x.records_evaluated, x.records_stopped, x.records_failed),
+                    (x.matches_emitted, x.bytes_evaluated, x.bytes_failed),
+                    (x.ff_skipped, x.words_classified, x.limit_rejections),
+                )
+            };
+            assert_eq!(counters(&m), counters(&s), "{query}");
+            assert_eq!(s.records_failed, 2, "{query}: one malformed, one oversized");
         }
     }
 

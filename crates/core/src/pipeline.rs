@@ -38,8 +38,10 @@
 //! are still staged per record and replayed to the sink only after the
 //! record evaluates cleanly, so a malformed record delivers *nothing* —
 //! byte-identical to the parallel merge for every worker count and both
-//! error policies. (Callers that want true mid-record early exit on a
-//! single record should use [`JsonSki::stream`] directly.)
+//! error policies. Because staging defers the sink, a sink's
+//! [`ControlFlow::Break`] cannot stop a record's scan;
+//! [`Pipeline::max_matches`] can: the staging collector stops the engine
+//! once a record has staged as many matches as the run can still deliver.
 //!
 //! # Observability
 //!
@@ -76,7 +78,6 @@
 //!   that was not already delivered to the sink.
 //!
 //! [`ChunkedRecords`]: crate::ChunkedRecords
-//! [`JsonSki::stream`]: crate::JsonSki::stream
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
@@ -192,7 +193,8 @@ pub struct PipelineSummary {
     pub matches: usize,
     /// Records skipped under [`ErrorPolicy::SkipMalformed`].
     pub failed: u64,
-    /// Whether the sink stopped the stream early.
+    /// Whether the sink stopped the stream early, or the run delivered
+    /// its [`Pipeline::max_matches`].
     pub stopped: bool,
     /// Mid-stream resynchronizations: broken spans the source skipped over
     /// under [`ErrorPolicy::SkipMalformed`].
@@ -200,8 +202,9 @@ pub struct PipelineSummary {
     /// Total bytes abandoned by those resynchronizations.
     pub resync_bytes: u64,
     /// Whether the run was ended early by cooperative cancellation (see
-    /// [`Pipeline::cancel_token`]). Everything counted above was still
-    /// fully delivered before the run returned.
+    /// [`Pipeline::cancel_token`]), including a source that shares the
+    /// token and so reported the end of its stream. Everything counted
+    /// above was still fully delivered before the run returned.
     pub cancelled: bool,
     /// High-water committed input offset: the global byte offset just past
     /// the last record (or resynchronized span) whose outcome was merged.
@@ -236,6 +239,7 @@ pub struct Pipeline {
     metrics: Option<Arc<Metrics>>,
     cancel: Option<CancellationToken>,
     checkpoints: Option<CheckpointCadence>,
+    max_matches: usize,
 }
 
 impl Default for Pipeline {
@@ -246,7 +250,7 @@ impl Default for Pipeline {
 
 impl Pipeline {
     /// A pipeline with one worker per available core, queue depth 4,
-    /// [`ErrorPolicy::FailFast`], and no metrics registry.
+    /// [`ErrorPolicy::FailFast`], no match cap, and no metrics registry.
     pub fn new() -> Self {
         Pipeline {
             workers: std::thread::available_parallelism()
@@ -258,6 +262,7 @@ impl Pipeline {
             metrics: None,
             cancel: None,
             checkpoints: None,
+            max_matches: usize::MAX,
         }
     }
 
@@ -319,6 +324,16 @@ impl Pipeline {
         self
     }
 
+    /// Ends the run once `n` matches have been delivered, marking it
+    /// [`stopped`](PipelineSummary::stopped); `0`, the default, means no
+    /// cap. The cap reaches into evaluation: a record stops scanning as
+    /// soon as it has staged as many matches as the run can still deliver,
+    /// so the bytes after the last deliverable match are never examined.
+    pub fn max_matches(mut self, n: usize) -> Self {
+        self.max_matches = if n == 0 { usize::MAX } else { n };
+        self
+    }
+
     /// The attached registry, only when it actually records.
     fn live_metrics(&self) -> Option<&Metrics> {
         self.metrics.as_deref().filter(|m| m.is_enabled())
@@ -361,19 +376,21 @@ impl Pipeline {
         let mut summary = PipelineSummary::default();
         let mut tracker = self.checkpoints.map(CheckpointTracker::new);
         let mut idx = 0u64;
-        let mut staged = Collector::new();
+        let mut staged = Collector::default();
         loop {
             if self.is_cancelled() {
                 summary.cancelled = true;
                 break;
             }
             // The record borrow must die inside the match so the paths
-            // below can use the source again (resync, consumed_offset).
+            // below can use the source again (resync, consumed_offset);
+            // a clean record's matches are replayed while it is alive.
             let step = match source.next_record() {
                 Ok(None) => Step::Done,
                 Err(e) => Step::SourceErr(e),
                 Ok(Some(record)) => {
                     let len = record.len() as u64;
+                    let room = self.max_matches - summary.matches;
                     let outcome = if record.len() > self.limits.max_record_bytes {
                         // Rejected before dispatch: no evaluation work.
                         if let Some(m) = metrics {
@@ -384,9 +401,9 @@ impl Pipeline {
                             limit: self.limits.max_record_bytes,
                         }))
                     } else {
-                        staged.clear();
+                        staged.stage(record, room);
                         // Unwind safety: see `worker_loop` — engines hold no
-                        // cross-record state, and `staged` is cleared before
+                        // cross-record state, and `staged` is reset before
                         // the next use so a torn stage is never replayed.
                         catch_unwind(AssertUnwindSafe(|| match metrics {
                             Some(m) => {
@@ -405,11 +422,26 @@ impl Pipeline {
                             })
                         })
                     };
-                    Step::Evaluated { len, outcome }
+                    let delivery = match outcome {
+                        RecordOutcome::Failed(e) => Err(e),
+                        _ => Ok(replay(
+                            staged.source(record),
+                            &staged.spans,
+                            idx,
+                            sink,
+                            room,
+                        )),
+                    };
+                    Step::Evaluated { len, delivery }
                 }
             };
             match step {
-                Step::Done => break,
+                Step::Done => {
+                    // A source sharing the token ends the stream at a
+                    // record boundary once it trips: still a cancellation.
+                    summary.cancelled = self.is_cancelled();
+                    break;
+                }
                 Step::SourceErr(e) => match self.try_resync(source, sink, &e, &mut summary)? {
                     Resynced::Continue => {}
                     Resynced::Stopped => {
@@ -418,15 +450,13 @@ impl Pipeline {
                     }
                     Resynced::Unrecoverable => return Err(e),
                 },
-                Step::Evaluated { len, outcome } => {
+                Step::Evaluated { len, delivery } => {
                     summary.records += 1;
                     if let Some(end) = source.consumed_offset() {
                         summary.committed_offset = summary.committed_offset.max(end);
                     }
-                    match outcome {
-                        RecordOutcome::Complete { .. } | RecordOutcome::Stopped { .. } => {
-                            let (delivered, broke) =
-                                replay(&staged.record, &staged.spans, idx, sink);
+                    match delivery {
+                        Ok((delivered, broke)) => {
                             summary.matches += delivered;
                             if let Some(m) = metrics {
                                 m.record_delivered(delivered as u64, len);
@@ -437,7 +467,7 @@ impl Pipeline {
                                 return Ok(summary);
                             }
                         }
-                        RecordOutcome::Failed(e) => match self.policy {
+                        Err(e) => match self.policy {
                             ErrorPolicy::FailFast => return Err(e),
                             ErrorPolicy::SkipMalformed => {
                                 summary.failed += 1;
@@ -608,14 +638,26 @@ impl Pipeline {
                             return Ok(summary);
                         }
                     }
-                    MergeItem::Record { len, end, result } => {
+                    MergeItem::Record {
+                        len,
+                        end,
+                        staged: (record, spans),
+                        error,
+                    } => {
                         summary.records += 1;
                         if let Some(end) = end {
                             summary.committed_offset = summary.committed_offset.max(end);
                         }
-                        match result {
-                            Ok((record, spans)) => {
-                                let (delivered, broke) = replay(&record, &spans, record_idx, sink);
+                        let room = self.max_matches - summary.matches;
+                        // A worker's cap can exceed the room left at merge
+                        // time (earlier records were still in flight), so
+                        // it may scan on to a failure that a serial run,
+                        // stopped at the cap, never reaches: such a record
+                        // delivers up to the cap instead.
+                        match error.filter(|_| spans.len() < room) {
+                            None => {
+                                let (delivered, broke) =
+                                    replay(&record, &spans, record_idx, sink, room);
                                 summary.matches += delivered;
                                 if let Some(m) = metrics {
                                     m.record_delivered(delivered as u64, len as u64);
@@ -627,7 +669,7 @@ impl Pipeline {
                                     return Ok(summary);
                                 }
                             }
-                            Err(mut e) => {
+                            Some(mut e) => {
                                 // Workers only know merge ordinals; stamp
                                 // the true record ordinal at the merge,
                                 // where it is known.
@@ -702,6 +744,7 @@ impl Pipeline {
                 match got {
                     Fetched::End => {
                         source_done = true;
+                        summary.cancelled = self.is_cancelled();
                     }
                     Fetched::Oversized(len) => {
                         // Rejected before dispatch: deposit a pre-failed
@@ -720,15 +763,19 @@ impl Pipeline {
                             MergeItem::Record {
                                 len,
                                 end,
-                                result: Err(e),
+                                staged: StagedMatches::default(),
+                                error: Some(e),
                             },
                         );
                         state.in_flight += 1;
                         next_read += 1;
                     }
                     Fetched::Dispatch(owned) => {
+                        // No record can deliver more than the run has left:
+                        // earlier records still in flight only lower it.
+                        let cap = self.max_matches - summary.matches;
                         let mut state = shared.state.lock().unwrap();
-                        state.queue.push_back((next_read, end, owned));
+                        state.queue.push_back((next_read, end, owned, cap));
                         state.in_flight += 1;
                         if let Some(m) = metrics {
                             m.record_queue_occupancy(state.in_flight as u64);
@@ -785,24 +832,25 @@ impl Pipeline {
     }
 }
 
-/// Replays staged match spans to the real sink as borrowed [`Match`]
-/// handles over the staged record copy; returns how many were delivered
-/// (including the one the sink broke on) and whether the sink broke.
+/// Replays at most `room` staged matches to the real sink as borrowed
+/// [`Match`] handles over the staged record copy; returns how many were
+/// delivered (including the one the sink broke on) and whether the run
+/// ends here: the sink broke, or the run has delivered its cap.
 fn replay(
     record: &[u8],
-    spans: &[(usize, usize)],
+    spans: &[StagedSpan],
     record_idx: u64,
     sink: &mut dyn MatchSink,
+    room: usize,
 ) -> (usize, bool) {
-    for (i, &span) in spans.iter().enumerate() {
-        if sink
-            .on_match(Match::new(record_idx, record, span))
-            .is_break()
-        {
+    for (i, &(span, query)) in spans.iter().take(room).enumerate() {
+        let m = Match::new(record_idx, record, span).with_query(query);
+        if sink.on_match(m).is_break() {
             return (i + 1, true);
         }
     }
-    (spans.len(), false)
+    let delivered = spans.len().min(room);
+    (delivered, delivered == room)
 }
 
 /// Outcome of a serial-path [`Pipeline::try_resync`] attempt.
@@ -820,7 +868,11 @@ enum Resynced {
 enum Step {
     Done,
     SourceErr(EngineError),
-    Evaluated { len: u64, outcome: RecordOutcome },
+    /// A record evaluated: what [`replay`] delivered, or why it failed.
+    Evaluated {
+        len: u64,
+        delivery: Result<(usize, bool), EngineError>,
+    },
 }
 
 /// One read of the parallel producer, classified while the record borrow
@@ -864,9 +916,12 @@ impl CheckpointTracker {
     }
 }
 
+/// One staged match: its span within the record and its query ordinal.
+type StagedSpan = ((usize, usize), usize);
+
 /// A worker's output for one record: the record's bytes (moved back out of
-/// the worker) plus the match spans collected into them.
-type StagedMatches = (Vec<u8>, Vec<(usize, usize)>);
+/// the worker) plus the matches collected into them.
+type StagedMatches = (Vec<u8>, Vec<StagedSpan>);
 
 /// One entry in the in-order merge sequence.
 enum MergeItem {
@@ -877,10 +932,12 @@ enum MergeItem {
         /// Global offset just past the record in the input stream, when
         /// the source reports offsets.
         end: Option<u64>,
-        /// The record's bytes plus the collected match spans into them,
-        /// or the failure. The worker moves its already-owned record out
-        /// so replay can hand the sink borrowed [`Match`] handles.
-        result: Result<StagedMatches, EngineError>,
+        /// The record's bytes plus the matches collected into them. The
+        /// worker moves its already-owned record out so replay can hand
+        /// the sink borrowed [`Match`] handles.
+        staged: StagedMatches,
+        /// Why the record failed, if it did.
+        error: Option<EngineError>,
     },
     /// A source resynchronization: the skipped global span and the error
     /// that caused it.
@@ -889,8 +946,9 @@ enum MergeItem {
 
 struct State {
     /// FIFO of records awaiting a worker: merge ordinal, end offset,
-    /// record bytes.
-    queue: VecDeque<(u64, Option<u64>, Vec<u8>)>,
+    /// record bytes, and the most matches the run could still deliver at
+    /// dispatch.
+    queue: VecDeque<(u64, Option<u64>, Vec<u8>, usize)>,
     /// Completed records awaiting in-order merging.
     results: BTreeMap<u64, MergeItem>,
     /// Records read from the source but not yet merged (queued, executing,
@@ -926,37 +984,49 @@ struct Shared {
     result_ready: Condvar,
 }
 
-/// Stages matches as spans plus (at most) one copy of the record they
-/// borrow from; never stops the engine (early exit is decided at replay
-/// time, where record order is known). The record is copied lazily on the
-/// first match, so records without matches stage nothing.
+/// Stages one record's matches as spans into the record, to be replayed
+/// once the record evaluated cleanly. It stops the engine only at `cap`
+/// staged matches, the most the run can still deliver; the sink's own
+/// early exit is decided at replay time, where record order is known.
+/// An engine that delivers its matches over a buffer other than the record
+/// it was given gets that buffer copied, on the first match.
+#[derive(Default)]
 struct Collector {
-    record: Vec<u8>,
-    spans: Vec<(usize, usize)>,
+    /// Address and length of the record under evaluation.
+    record: (usize, usize),
+    copy: Option<Vec<u8>>,
+    spans: Vec<StagedSpan>,
+    cap: usize,
 }
 
 impl Collector {
-    fn new() -> Self {
-        Collector {
-            record: Vec::new(),
-            spans: Vec::new(),
-        }
+    /// Resets the collector for `record`, with room for `cap` matches.
+    fn stage(&mut self, record: &[u8], cap: usize) {
+        self.record = (record.as_ptr() as usize, record.len());
+        self.copy = None;
+        self.spans.clear();
+        self.cap = cap;
     }
 
-    fn clear(&mut self) {
-        self.record.clear();
-        self.spans.clear();
+    /// The buffer the staged spans point into: `record`, unless the engine
+    /// matched over another buffer.
+    fn source<'a>(&'a self, record: &'a [u8]) -> &'a [u8] {
+        self.copy.as_deref().unwrap_or(record)
     }
 }
 
 impl MatchSink for Collector {
     fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
-        if self.spans.is_empty() {
-            self.record.clear();
-            self.record.extend_from_slice(m.record());
+        let buffer = m.record();
+        if self.spans.is_empty() && (buffer.as_ptr() as usize, buffer.len()) != self.record {
+            self.copy = Some(buffer.to_vec());
         }
-        self.spans.push(m.span());
-        ControlFlow::Continue(())
+        self.spans.push((m.span(), m.query()));
+        if self.spans.len() >= self.cap {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
     }
 }
 
@@ -966,7 +1036,7 @@ fn worker_loop(engine: &dyn Evaluate, shared: &Shared, worker: usize, metrics: O
         if state.stop {
             return;
         }
-        if let Some((idx, end, record)) = state.queue.pop_front() {
+        if let Some((idx, end, record, cap)) = state.queue.pop_front() {
             drop(state);
             // Unwind safety: the engine is `&dyn Evaluate` with no
             // cross-record mutable state (evaluation state is rebuilt per
@@ -976,7 +1046,8 @@ fn worker_loop(engine: &dyn Evaluate, shared: &Shared, worker: usize, metrics: O
             // count, never a broken invariant.
             let len = record.len();
             let unwind = catch_unwind(AssertUnwindSafe(|| {
-                let mut collector = Collector::new();
+                let mut collector = Collector::default();
+                collector.stage(&record, cap);
                 let outcome = match metrics {
                     Some(m) => {
                         m.record_worker(worker, record.len() as u64);
@@ -984,27 +1055,35 @@ fn worker_loop(engine: &dyn Evaluate, shared: &Shared, worker: usize, metrics: O
                     }
                     None => engine.evaluate(&record, idx, &mut collector),
                 };
+                let record = collector.copy.take().unwrap_or(record);
                 (outcome, record, collector.spans)
             }));
-            let result = match unwind {
-                Ok((RecordOutcome::Failed(e), _, _)) => Err(e),
-                Ok((_, record, spans)) => Ok((record, spans)),
+            let (staged, error) = match unwind {
+                Ok((RecordOutcome::Failed(e), record, spans)) => ((record, spans), Some(e)),
+                Ok((_, record, spans)) => ((record, spans), None),
                 Err(p) => {
                     if let Some(m) = metrics {
                         m.record_worker_panic();
                     }
                     // `idx` is a merge ordinal; the merge loop stamps the
                     // true record ordinal before the sink sees it.
-                    Err(EngineError::Panic {
+                    let e = EngineError::Panic {
                         record_idx: idx,
                         payload: panic_payload(p.as_ref()),
-                    })
+                    };
+                    (StagedMatches::default(), Some(e))
                 }
             };
             state = shared.state.lock().unwrap();
-            state
-                .results
-                .insert(idx, MergeItem::Record { len, end, result });
+            state.results.insert(
+                idx,
+                MergeItem::Record {
+                    len,
+                    end,
+                    staged,
+                    error,
+                },
+            );
             shared.result_ready.notify_all();
         } else if state.producer_done {
             return;
@@ -1547,6 +1626,74 @@ mod tests {
             0,
             "no worker may outlive the run"
         );
+    }
+
+    #[test]
+    fn a_record_failing_past_the_cap_delivers_the_capped_prefix() {
+        // Record 1 fails after its first match. A serial run reaches it
+        // with room for one more match and stops its scan there; a worker
+        // got it before record 0 was delivered, with room for three, and
+        // scans on to the failure. Both must deliver the same prefix.
+        let stream = b"{\"a\": [1, 2]}\n{\"a\": [3, 4}\n{\"a\": [7]}\n";
+        let engine = JsonSki::compile("$.a[*]").unwrap();
+        for workers in [1, 2] {
+            for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
+                let mut got = Vec::new();
+                let mut sink = FnSink::new(|m: Match<'_>| {
+                    got.push(m.bytes().to_vec());
+                    ControlFlow::Continue(())
+                });
+                let summary = Pipeline::new()
+                    .workers(workers)
+                    .error_policy(policy)
+                    .max_matches(3)
+                    .run(&engine, &mut SliceRecords::new(stream), &mut sink)
+                    .unwrap();
+                assert_eq!(got, [b"1", b"2", b"3"], "workers={workers} {policy:?}");
+                assert!(summary.stopped && summary.failed == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn a_source_ended_by_the_token_counts_as_cancelled() {
+        // The token trips while the reader is blocked in its last read
+        // (as a signal does on stdin); the reader then reports a clean end
+        // of stream, and the run must still say it was cancelled.
+        struct TripOnEof<'a> {
+            data: &'a [u8],
+            token: crate::CancellationToken,
+        }
+        impl std::io::Read for TripOnEof<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.data.is_empty() {
+                    self.token.cancel();
+                    return Ok(0);
+                }
+                let n = buf.len().min(self.data.len());
+                buf[..n].copy_from_slice(&self.data[..n]);
+                self.data = &self.data[n..];
+                Ok(n)
+            }
+        }
+        let stream = stream_of(3);
+        let engine = JsonSki::compile("$.a").unwrap();
+        for workers in [1, 2] {
+            let token = crate::CancellationToken::new();
+            let reader = TripOnEof {
+                data: &stream,
+                token: token.clone(),
+            };
+            let mut source = crate::ChunkedRecords::new(reader).cancel_token(token.clone());
+            let mut sink = CountSink::default();
+            let summary = Pipeline::new()
+                .workers(workers)
+                .cancel_token(token)
+                .run(&engine, &mut source, &mut sink)
+                .unwrap();
+            assert!(summary.cancelled, "workers={workers}");
+            assert_eq!(summary.records, 3, "workers={workers}");
+        }
     }
 
     #[test]

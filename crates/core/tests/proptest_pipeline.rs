@@ -97,6 +97,8 @@ fn malformed_record() -> BoxedStrategy<Vec<u8>> {
         Just(b"{\"a\": [1, 2".to_vec()),
         Just(b"{\"a\": [3, 30}".to_vec()),
         Just(b"[1, {\"b\": 2]".to_vec()),
+        Just(b"{\"a\": [4, 5, 6, 7}".to_vec()),
+        Just(b"[8, 9, 10, {\"a\": 11]".to_vec()),
     ]
     .boxed()
 }
@@ -234,6 +236,65 @@ proptest! {
                 prop_assert_eq!(summary.failed, ref_sink.errors.len() as u64);
                 prop_assert_eq!(ref_snap.matches_delivered, ref_sink.matches.len() as u64);
                 prop_assert_eq!(ref_snap.records_skipped, ref_sink.errors.len() as u64);
+            }
+        }
+    }
+
+    // `max_matches(n)` delivers exactly `min(n, total)` matches, the
+    // first ones of the stream in order, for every worker count and both
+    // error policies. The model is a serial loop that stops each record's
+    // scan at the run's remaining room, so a record that fails only after
+    // the n-th match counts as stopped there, not as failed.
+    #[test]
+    fn max_matches_delivers_the_capped_prefix(records in batch(), q in query(), n in 1usize..12) {
+        let engine = JsonSki::compile(&q).unwrap();
+        for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
+            let mut expect: Vec<(u64, Vec<u8>)> = Vec::new();
+            let mut expect_ok = true;
+            for (idx, r) in records.iter().enumerate() {
+                if expect.len() == n {
+                    break;
+                }
+                let room = n - expect.len();
+                let mut got = Vec::new();
+                let result = engine.stream(r, |m| {
+                    got.push((idx as u64, m.bytes().to_vec()));
+                    if got.len() == room {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                match result {
+                    Ok(_) => expect.extend(got),
+                    Err(_) if policy == ErrorPolicy::SkipMalformed => {}
+                    Err(_) => {
+                        expect_ok = false;
+                        break;
+                    }
+                }
+            }
+            let (uncapped, uncapped_result, _) = run(&engine, &records, 1, policy);
+            if uncapped_result.is_ok() {
+                prop_assert_eq!(expect.len(), n.min(uncapped.matches.len()));
+            }
+            for jobs in [1usize, 2, 8] {
+                let mut source = OwnedRecords { records: records.clone(), next: 0 };
+                let mut sink = Recorder::default();
+                let result = Pipeline::new()
+                    .workers(jobs)
+                    .error_policy(policy)
+                    .max_matches(n)
+                    .run(&engine, &mut source, &mut sink);
+                prop_assert_eq!(
+                    &sink.matches, &expect,
+                    "q={} n={} jobs={} policy={:?}", q, n, jobs, policy
+                );
+                prop_assert_eq!(result.is_ok(), expect_ok, "q={} n={} jobs={}", q, n, jobs);
+                if let Ok(summary) = result {
+                    prop_assert_eq!(summary.matches, expect.len());
+                    prop_assert_eq!(summary.stopped, expect.len() == n);
+                }
             }
         }
     }

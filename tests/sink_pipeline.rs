@@ -1,13 +1,14 @@
 //! The unified sink-based evaluation API, exercised across all five
-//! engines, plus pipeline determinism and error-policy behaviour on
-//! corrupt-record streams.
+//! engines and `MultiQuery`, plus pipeline determinism and error-policy
+//! behaviour on corrupt-record streams.
 
 use std::ops::ControlFlow;
 
 use jsonski_repro::harness::all_engines;
 use jsonski_repro::jsonpath::Path;
 use jsonski_repro::jsonski::{
-    CountSink, ErrorPolicy, Match, MatchSink, Pipeline, RecordOutcome, SliceRecords,
+    CountSink, ErrorPolicy, Evaluate, Match, MatchSink, MultiQuery, Pipeline, RecordOutcome,
+    SliceRecords,
 };
 
 /// Per-engine capture: the match bytes and the per-record outcome keys.
@@ -58,11 +59,23 @@ fn corpus() -> (Vec<Vec<u8>>, &'static str) {
     (records, "$.a[*]")
 }
 
+/// The five engines for `query`, then `MultiQuery` with `query` alone and
+/// with two more queries that match nothing in [`corpus`] (so its match
+/// counts stay comparable), all through [`Evaluate`].
+fn engines(query: &str) -> Vec<Box<dyn Evaluate>> {
+    let path: Path = query.parse().unwrap();
+    let mut engines = all_engines(&path);
+    engines.push(Box::new(MultiQuery::compile(&[query]).unwrap()));
+    engines.push(Box::new(
+        MultiQuery::compile(&[query, "$.b", "$.a[5]"]).unwrap(),
+    ));
+    engines
+}
+
 #[test]
 fn all_engines_emit_identical_matches_and_outcomes() {
     let (records, query) = corpus();
-    let path: Path = query.parse().unwrap();
-    let engines = all_engines(&path);
+    let engines = engines(query);
     let mut per_engine: Vec<EngineCapture> = Vec::new();
     for engine in &engines {
         let mut matches = Vec::new();
@@ -109,8 +122,7 @@ fn every_engine_survives_corrupt_streams_under_skip_malformed() {
         stream.extend_from_slice(r);
         stream.push(b'\n');
     }
-    let path: Path = query.parse().unwrap();
-    for engine in all_engines(&path) {
+    for engine in engines(query) {
         // Serial reference: count over the valid records only.
         let serial: usize = records.iter().filter_map(|r| engine.count(r).ok()).sum();
         let mut source = SliceRecords::new(&stream);
