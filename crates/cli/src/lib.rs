@@ -1483,6 +1483,18 @@ mod reader_tests {
     use super::*;
 
     #[test]
+    fn run_reader_matches_run_on_same_input() {
+        let input = b"{\"a\": 1}\n{\"a\": 2}\n{\"b\": {\"a\": 3}}\n";
+        let o = parse_args(["$.a".to_string()]).unwrap();
+        let mut out_mem = Vec::new();
+        let c1 = run(&o, input, &mut out_mem).unwrap();
+        let mut out_stream = Vec::new();
+        let c2 = run_reader(&o, &input[..], &mut out_stream).unwrap();
+        assert_eq!(c1, c2);
+        assert_eq!(out_mem, out_stream);
+    }
+
+    #[test]
     fn run_reader_multi_query() {
         let input = b"{\"a\": 1, \"b\": 2}\n{\"a\": 3}\n";
         let o = parse_args(["$.a".to_string(), "$.b".to_string()]).unwrap();
@@ -1604,6 +1616,22 @@ mod reader_tests {
             assert_eq!(counts, vec![2], "jobs={jobs}");
             assert_eq!(out, b"1\n3\n", "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn run_reader_parallel_output_matches_serial() {
+        let mut input = Vec::new();
+        for i in 0..200 {
+            input.extend_from_slice(format!("{{\"a\": [{i}, {i}]}}\n").as_bytes());
+        }
+        let serial = parse_args(["$.a[*]".to_string()]).unwrap();
+        let mut out_serial = Vec::new();
+        let c1 = run_reader(&serial, &input[..], &mut out_serial).unwrap();
+        let parallel = parse_args(["-j".into(), "4".into(), "$.a[*]".into()]).unwrap();
+        let mut out_parallel = Vec::new();
+        let c2 = run_reader(&parallel, &input[..], &mut out_parallel).unwrap();
+        assert_eq!(c1, c2);
+        assert_eq!(out_serial, out_parallel, "merge must preserve record order");
     }
 
     #[test]

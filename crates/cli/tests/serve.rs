@@ -74,6 +74,30 @@ fn serial_reference(query: &str, body: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Blocks until the server's `serve_admitted` counter reaches `n`. The
+/// server must run with `--metrics-endpoint`.
+fn wait_admitted(addr: &str, n: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let mut c = Client::connect_tcp(addr).unwrap();
+        let scrape = String::from_utf8(c.metrics(false).unwrap().body).unwrap();
+        let admitted: u64 = scrape
+            .lines()
+            .find(|l| l.starts_with("serve_admitted "))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0);
+        if admitted >= n {
+            return;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "queries were never admitted:\n{scrape}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn sigterm_while_idle_exits_130() {
     let (mut child, addr, _stderr) = spawn_serve(&[]);
@@ -105,25 +129,7 @@ fn sigterm_under_load_drains_in_flight_and_exits_130() {
     // Wait until all three queries are past admission control before
     // signaling: admitted requests hold a tenant permit and are never
     // rejected by the drain gate, so each is guaranteed to complete.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let mut c = Client::connect_tcp(&addr).unwrap();
-        let scrape = String::from_utf8(c.metrics(false).unwrap().body).unwrap();
-        let admitted: u64 = scrape
-            .lines()
-            .find(|l| l.starts_with("serve_admitted "))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if admitted >= 3 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "queries were never admitted:\n{scrape}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_admitted(&addr, 3);
     sigterm(&child);
     // Every in-flight request completes with a full, byte-exact frame.
     for t in inflight {
@@ -140,7 +146,7 @@ fn sigterm_under_load_drains_in_flight_and_exits_130() {
 
 #[test]
 fn draining_server_rejects_new_queries_with_503() {
-    let (mut child, addr, _stderr) = spawn_serve(&["--deadline-ms", "30000"]);
+    let (mut child, addr, _stderr) = spawn_serve(&["--deadline-ms", "30000", "--metrics-endpoint"]);
     let body = ndjson(150_000);
     // Hold the server in drain with one slow in-flight request.
     let holder = {
@@ -158,7 +164,9 @@ fn draining_server_rejects_new_queries_with_503() {
     probe
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
-    std::thread::sleep(Duration::from_millis(80));
+    // The holder must be admitted before the drain starts, or the drain
+    // gate rejects it too.
+    wait_admitted(&addr, 1);
     sigterm(&child);
     std::thread::sleep(Duration::from_millis(50));
     // New query on the surviving connection: typed 503, not a hang or cut.
