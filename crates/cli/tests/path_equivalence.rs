@@ -18,14 +18,17 @@ type Observed = (Vec<u8>, Option<Vec<usize>>, u8);
 /// `$.a[*]` matches, fewer than `-n 5` but more than the run has left
 /// after the first record: the run ends inside it, before the failure,
 /// also when a worker scanned it before the first record was delivered.
-fn corpus(cut_first: bool) -> Vec<u8> {
+/// Without `eval_failure` the `[9, 9}` record is well formed, so a
+/// fail-fast run ends at the boundary scan's error, after printing every
+/// record before it, while workers still hold some of those records.
+fn corpus(cut_first: bool, eval_failure: bool) -> Vec<u8> {
     let mut s = String::new();
     if cut_first {
         s.push_str("{\"a\": [1, 2], \"b\": \"x\"}\n{\"a\": [3, 4, 5, 6}\n");
     }
     for i in 0..120 {
         match i {
-            40 => s.push_str("{\"a\": [9, 9}\n"),
+            40 if eval_failure => s.push_str("{\"a\": [9, 9}\n"),
             80 => s.push_str("{\"a\": [1, 2\n"),
             _ => s.push_str(&format!(
                 "{{\"a\": [{i}, {}], \"b\": \"q\\\"{i}\\u00e9\"}}\n",
@@ -56,8 +59,8 @@ fn run_cell(argv: &[String], input: &[u8], from_stdin: bool) -> Observed {
 #[test]
 fn every_path_matches_the_serial_file_run() {
     let mut cells = 0;
-    for cut_first in [false, true] {
-        let input = corpus(cut_first);
+    for (cut_first, eval_failure) in [(false, true), (true, true), (false, false)] {
+        let input = corpus(cut_first, eval_failure);
         for queries in [&["$.a[*]"][..], &["$.a[*]", "$.b"][..]] {
             for extract in ["raw", "typed"] {
                 for skip in [false, true] {
@@ -89,7 +92,8 @@ fn every_path_matches_the_serial_file_run() {
                                 assert_eq!(
                                     cell,
                                     reference,
-                                    "stdin={from_stdin} argv={:?} cut_first={cut_first}",
+                                    "stdin={from_stdin} argv={:?} cut_first={cut_first} \
+                                     eval_failure={eval_failure}",
                                     argv(jobs)
                                 );
                                 cells += 1;
@@ -100,5 +104,5 @@ fn every_path_matches_the_serial_file_run() {
             }
         }
     }
-    assert_eq!(cells, 128);
+    assert_eq!(cells, 192);
 }

@@ -34,14 +34,23 @@
 //! attached with [`Pipeline::limits`] rejects oversized records before they
 //! reach a worker, as ordinary per-record failures.
 //!
-//! With `workers <= 1` the pipeline degenerates to a serial loop. Matches
-//! are still staged per record and replayed to the sink only after the
-//! record evaluates cleanly, so a malformed record delivers *nothing* —
-//! byte-identical to the parallel merge for every worker count and both
-//! error policies. Because staging defers the sink, a sink's
-//! [`ControlFlow::Break`] cannot stop a record's scan;
-//! [`Pipeline::max_matches`] can: the staging collector stops the engine
-//! once a record has staged as many matches as the run can still deliver.
+//! # One merge step
+//!
+//! With `workers <= 1` the caller thread reads and evaluates one record at
+//! a time; otherwise a worker pool evaluates and the caller merges. Both
+//! loops share the limit rejection and the evaluation under
+//! `catch_unwind`, and hand every record (and every resynchronization) to
+//! the same in-order merge step, which alone decides what the sink sees:
+//! replay, outcome accounting, the [`ErrorPolicy`], resync reporting and
+//! checkpoints are each written once, so the callback sequence is
+//! identical for every worker count.
+//!
+//! Matches are staged per record and replayed to the sink only after the
+//! record evaluates cleanly, so a malformed record delivers *nothing*.
+//! Because staging defers the sink, a sink's [`ControlFlow::Break`] cannot
+//! stop a record's scan; [`Pipeline::max_matches`] can: the staging
+//! collector stops the engine once a record has staged as many matches as
+//! the run can still deliver.
 //!
 //! # Observability
 //!
@@ -351,8 +360,9 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Source errors always; evaluation errors under
-    /// [`ErrorPolicy::FailFast`] (the first in record order).
+    /// Source errors the [`ErrorPolicy`] cannot resynchronize past;
+    /// evaluation errors under [`ErrorPolicy::FailFast`] (the first in
+    /// record order); a failed checkpoint.
     pub fn run(
         &self,
         engine: &dyn Evaluate,
@@ -366,6 +376,8 @@ impl Pipeline {
         }
     }
 
+    /// The serial loop: one record at a time on the caller thread, through
+    /// one reused [`Collector`], replayed from the live record borrow.
     fn run_serial(
         &self,
         engine: &dyn Evaluate,
@@ -373,184 +385,79 @@ impl Pipeline {
         sink: &mut dyn MatchSink,
     ) -> Result<PipelineSummary, EngineError> {
         let metrics = self.live_metrics();
-        let mut summary = PipelineSummary::default();
-        let mut tracker = self.checkpoints.map(CheckpointTracker::new);
-        let mut idx = 0u64;
+        let mut merge = Merge::new(self, sink);
         let mut staged = Collector::default();
         loop {
-            if self.is_cancelled() {
-                summary.cancelled = true;
-                break;
-            }
-            // The record borrow must die inside the match so the paths
-            // below can use the source again (resync, consumed_offset);
-            // a clean record's matches are replayed while it is alive.
-            let step = match source.next_record() {
-                Ok(None) => Step::Done,
-                Err(e) => Step::SourceErr(e),
-                Ok(Some(record)) => {
-                    let len = record.len() as u64;
-                    let room = self.max_matches - summary.matches;
-                    let outcome = if record.len() > self.limits.max_record_bytes {
-                        // Rejected before dispatch: no evaluation work.
-                        if let Some(m) = metrics {
-                            m.record_limit_rejection();
-                        }
-                        RecordOutcome::Failed(EngineError::Limit(LimitExceeded::RecordBytes {
-                            len: record.len(),
-                            limit: self.limits.max_record_bytes,
-                        }))
-                    } else {
-                        staged.stage(record, room);
-                        // Unwind safety: see `worker_loop` — engines hold no
-                        // cross-record state, and `staged` is reset before
-                        // the next use so a torn stage is never replayed.
-                        catch_unwind(AssertUnwindSafe(|| match metrics {
-                            Some(m) => {
-                                m.record_worker(0, len);
-                                engine.evaluate_metered(record, idx, &mut staged, m)
-                            }
-                            None => engine.evaluate(record, idx, &mut staged),
-                        }))
-                        .unwrap_or_else(|p| {
-                            if let Some(m) = metrics {
-                                m.record_worker_panic();
-                            }
-                            RecordOutcome::Failed(EngineError::Panic {
-                                record_idx: idx,
-                                payload: panic_payload(p.as_ref()),
-                            })
-                        })
-                    };
-                    let delivery = match outcome {
-                        RecordOutcome::Failed(e) => Err(e),
-                        _ => Ok(replay(
-                            staged.source(record),
-                            &staged.spans,
-                            idx,
-                            sink,
-                            room,
-                        )),
-                    };
-                    Step::Evaluated { len, delivery }
-                }
-            };
-            match step {
-                Step::Done => {
-                    // A source sharing the token ends the stream at a
-                    // record boundary once it trips: still a cancellation.
-                    summary.cancelled = self.is_cancelled();
+            let go_on = match self.next_record(source) {
+                Ok(None) => {
+                    merge.summary.cancelled = self.is_cancelled();
                     break;
                 }
-                Step::SourceErr(e) => match self.try_resync(source, sink, &e, &mut summary)? {
-                    Resynced::Continue => {}
-                    Resynced::Stopped => {
-                        self.final_checkpoint(&tracker, sink, &summary)?;
-                        return Ok(summary);
-                    }
-                    Resynced::Unrecoverable => return Err(e),
-                },
-                Step::Evaluated { len, delivery } => {
-                    summary.records += 1;
-                    if let Some(end) = source.consumed_offset() {
-                        summary.committed_offset = summary.committed_offset.max(end);
-                    }
-                    match delivery {
-                        Ok((delivered, broke)) => {
-                            summary.matches += delivered;
-                            if let Some(m) = metrics {
-                                m.record_delivered(delivered as u64, len);
-                            }
-                            if broke {
-                                summary.stopped = true;
-                                self.final_checkpoint(&tracker, sink, &summary)?;
-                                return Ok(summary);
-                            }
-                        }
-                        Err(e) => match self.policy {
-                            ErrorPolicy::FailFast => return Err(e),
-                            ErrorPolicy::SkipMalformed => {
-                                summary.failed += 1;
-                                if let Some(m) = metrics {
-                                    m.record_skipped_record();
-                                }
-                                if sink.on_record_error(idx, &e).is_break() {
-                                    summary.stopped = true;
-                                    self.final_checkpoint(&tracker, sink, &summary)?;
-                                    return Ok(summary);
-                                }
-                            }
-                        },
-                    }
-                    idx += 1;
-                    if let Some(t) = tracker.as_mut() {
-                        if t.due(len) {
-                            self.emit_checkpoint(sink, &summary)?;
-                        }
-                    }
+                Err(e) => {
+                    let (span, e) = self.resync(source, e)?;
+                    merge.resync(span, &e)
                 }
+                Ok(Some(record)) => {
+                    staged.stage(record, merge.room());
+                    let error = self.reject(record.len()).or_else(|| {
+                        evaluate_into(engine, 0, merge.record_idx, record, &mut staged, metrics)
+                    });
+                    let delivery = merge.replay(staged.source(record), &staged.spans, error);
+                    // `record.len()` is the borrow's last use, so the source
+                    // can then report the offset just past the record.
+                    merge.record(record.len(), source.consumed_offset(), delivery)?
+                }
+            };
+            if !go_on {
+                break;
             }
         }
-        self.final_checkpoint(&tracker, sink, &summary)?;
-        Ok(summary)
+        merge.finish()
     }
 
-    /// Delivers one checkpoint callback, recording it in metrics.
-    fn emit_checkpoint(
+    /// The next record, or `None` at the end of the stream or once the
+    /// token has tripped: a run stops reading at a record boundary.
+    fn next_record<'s>(
         &self,
-        sink: &mut dyn MatchSink,
-        summary: &PipelineSummary,
-    ) -> Result<(), EngineError> {
+        source: &'s mut dyn RecordSource,
+    ) -> Result<Option<&'s [u8]>, EngineError> {
+        if self.is_cancelled() {
+            Ok(None)
+        } else {
+            source.next_record()
+        }
+    }
+
+    /// Rejects a record over [`ResourceLimits::max_record_bytes`] before
+    /// any evaluation work; the rejection is an ordinary record failure.
+    fn reject(&self, len: usize) -> Option<EngineError> {
+        if len <= self.limits.max_record_bytes {
+            return None;
+        }
         if let Some(m) = self.live_metrics() {
-            m.record_checkpoint();
+            m.record_limit_rejection();
         }
-        sink.on_checkpoint(summary)
+        Some(EngineError::Limit(LimitExceeded::RecordBytes {
+            len,
+            limit: self.limits.max_record_bytes,
+        }))
     }
 
-    /// The closing checkpoint of a cleanly ending run (complete, stopped,
-    /// or cancelled), so the caller's last durable state matches the
-    /// returned summary. No-op when checkpointing is off.
-    fn final_checkpoint(
-        &self,
-        tracker: &Option<CheckpointTracker>,
-        sink: &mut dyn MatchSink,
-        summary: &PipelineSummary,
-    ) -> Result<(), EngineError> {
-        if tracker.is_some() {
-            self.emit_checkpoint(sink, summary)?;
-        }
-        Ok(())
-    }
-
-    /// Shared source-error recovery: under [`ErrorPolicy::SkipMalformed`],
-    /// asks a resyncable source to skip past the broken span and reports it
-    /// to the sink.
-    fn try_resync(
+    /// Answers a source error. Under [`ErrorPolicy::SkipMalformed`] a
+    /// resyncable error on a source that can resynchronize becomes the
+    /// abandoned span, still paired with its error; anything else ends the
+    /// run with the error.
+    fn resync(
         &self,
         source: &mut dyn RecordSource,
-        sink: &mut dyn MatchSink,
-        error: &EngineError,
-        summary: &mut PipelineSummary,
-    ) -> Result<Resynced, EngineError> {
-        if !matches!(self.policy, ErrorPolicy::SkipMalformed) || !error.is_resyncable() {
-            return Ok(Resynced::Unrecoverable);
+        error: EngineError,
+    ) -> Result<((u64, u64), EngineError), EngineError> {
+        if self.policy != ErrorPolicy::SkipMalformed || !error.is_resyncable() {
+            return Err(error);
         }
         match source.resync()? {
-            None => Ok(Resynced::Unrecoverable),
-            Some(span) => {
-                summary.resyncs += 1;
-                summary.resync_bytes += span.1 - span.0;
-                summary.committed_offset = summary.committed_offset.max(span.1);
-                if let Some(m) = self.live_metrics() {
-                    m.record_resync(span.1 - span.0);
-                }
-                if sink.on_resync(span, error).is_break() {
-                    summary.stopped = true;
-                    Ok(Resynced::Stopped)
-                } else {
-                    Ok(Resynced::Continue)
-                }
-            }
+            Some(span) => Ok((span, error)),
+            None => Err(error),
         }
     }
 
@@ -578,10 +485,11 @@ impl Pipeline {
                 let shared = &shared;
                 scope.spawn(move || worker_loop(engine, shared, worker, metrics));
             }
-            // Guard, not epilogue: the merge loop runs sink callbacks, and
-            // a panicking sink would otherwise skip the release and leave
-            // the scope join deadlocked on workers waiting for work. By
-            // drop time every result the run will ever deliver has been
+            // Guard, not epilogue: this is how every return of the merge
+            // (done, stopped, or failed) releases the workers. The merge
+            // runs sink callbacks, and a panicking sink would otherwise
+            // leave the scope join deadlocked on workers waiting for work.
+            // By drop time every result the run will ever deliver has been
             // merged, so `stop` abandons nothing.
             let _release = ReleaseWorkers(&shared);
             self.produce_and_merge(source, sink, &shared, capacity)
@@ -589,11 +497,11 @@ impl Pipeline {
     }
 
     /// The caller thread's half of the parallel pipeline: reads records
-    /// while queue capacity allows (backpressure), merges worker results in
-    /// record order, applies early exit and the error policy at the merge
-    /// point. Resynchronizations and pre-dispatch limit rejections enter
-    /// the merge sequence as ordinary entries, so the sink observes the
-    /// exact callback order of a serial run for any worker count.
+    /// while queue capacity allows (backpressure) and feeds worker results
+    /// to the [`Merge`] in merge order. Source errors and pre-dispatch limit
+    /// rejections enter the merge sequence as ordinary entries, so the sink
+    /// observes the exact callback order of a serial run for any worker
+    /// count.
     fn produce_and_merge(
         &self,
         source: &mut dyn RecordSource,
@@ -602,41 +510,19 @@ impl Pipeline {
         capacity: usize,
     ) -> Result<PipelineSummary, EngineError> {
         let metrics = self.live_metrics();
-        let mut summary = PipelineSummary::default();
-        let mut tracker = self.checkpoints.map(CheckpointTracker::new);
+        let mut merge = Merge::new(self, sink);
         let mut next_read = 0u64; // next merge ordinal to assign
         let mut next_merge = 0u64; // next merge ordinal to deliver
-        let mut record_idx = 0u64; // record ordinal (excludes resync events)
         let mut source_done = false;
         loop {
             // Merge every in-order result that is ready, without holding
             // the lock across sink callbacks.
-            loop {
-                let item = {
-                    let mut state = shared.state.lock().unwrap();
-                    match state.results.remove(&next_merge) {
-                        Some(item) => {
-                            state.in_flight -= 1;
-                            item
-                        }
-                        None => break,
-                    }
-                };
-                shared.work_ready.notify_all();
-                match item {
-                    MergeItem::Resync(span, e) => {
-                        summary.resyncs += 1;
-                        summary.resync_bytes += span.1 - span.0;
-                        summary.committed_offset = summary.committed_offset.max(span.1);
-                        if let Some(m) = metrics {
-                            m.record_resync(span.1 - span.0);
-                        }
-                        if sink.on_resync(span, &e).is_break() {
-                            summary.stopped = true;
-                            self.stop(shared);
-                            self.final_checkpoint(&tracker, sink, &summary)?;
-                            return Ok(summary);
-                        }
+            while let Some(item) = shared.take(next_merge) {
+                next_merge += 1;
+                let go_on = match item {
+                    MergeItem::Source(resynced) => {
+                        let (span, e) = resynced?;
+                        merge.resync(span, &e)
                     }
                     MergeItem::Record {
                         len,
@@ -644,177 +530,73 @@ impl Pipeline {
                         staged: (record, spans),
                         error,
                     } => {
-                        summary.records += 1;
-                        if let Some(end) = end {
-                            summary.committed_offset = summary.committed_offset.max(end);
-                        }
-                        let room = self.max_matches - summary.matches;
-                        // A worker's cap can exceed the room left at merge
-                        // time (earlier records were still in flight), so
-                        // it may scan on to a failure that a serial run,
-                        // stopped at the cap, never reaches: such a record
-                        // delivers up to the cap instead.
-                        match error.filter(|_| spans.len() < room) {
-                            None => {
-                                let (delivered, broke) =
-                                    replay(&record, &spans, record_idx, sink, room);
-                                summary.matches += delivered;
-                                if let Some(m) = metrics {
-                                    m.record_delivered(delivered as u64, len as u64);
-                                }
-                                if broke {
-                                    summary.stopped = true;
-                                    self.stop(shared);
-                                    self.final_checkpoint(&tracker, sink, &summary)?;
-                                    return Ok(summary);
-                                }
-                            }
-                            Some(mut e) => {
-                                // Workers only know merge ordinals; stamp
-                                // the true record ordinal at the merge,
-                                // where it is known.
-                                if let EngineError::Panic { record_idx: ri, .. } = &mut e {
-                                    *ri = record_idx;
-                                }
-                                match self.policy {
-                                    ErrorPolicy::FailFast => {
-                                        self.stop(shared);
-                                        return Err(e);
-                                    }
-                                    ErrorPolicy::SkipMalformed => {
-                                        summary.failed += 1;
-                                        if let Some(m) = metrics {
-                                            m.record_skipped_record();
-                                        }
-                                        if sink.on_record_error(record_idx, &e).is_break() {
-                                            summary.stopped = true;
-                                            self.stop(shared);
-                                            self.final_checkpoint(&tracker, sink, &summary)?;
-                                            return Ok(summary);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        record_idx += 1;
-                        if let Some(t) = tracker.as_mut() {
-                            if t.due(len as u64) {
-                                if let Err(e) = self.emit_checkpoint(sink, &summary) {
-                                    self.stop(shared);
-                                    return Err(e);
-                                }
-                            }
-                        }
+                        let delivery = merge.replay(&record, &spans, error);
+                        merge.record(len, end, delivery)?
                     }
+                };
+                if !go_on {
+                    return merge.finish();
                 }
-                next_merge += 1;
             }
             // Refill the queue up to the in-flight bound (backpressure).
             while !source_done {
-                if self.is_cancelled() {
-                    // Stop producing; everything already dispatched still
-                    // drains through the merge above before we return.
-                    summary.cancelled = true;
-                    source_done = true;
+                if shared.state.lock().unwrap().in_flight >= capacity {
+                    if let Some(m) = metrics {
+                        m.record_producer_stall();
+                    }
                     break;
                 }
-                {
-                    let state = shared.state.lock().unwrap();
-                    if state.in_flight >= capacity {
-                        if let Some(m) = metrics {
-                            m.record_producer_stall();
-                        }
+                // Source errors and rejected records skip the workers: they
+                // go straight into the merge sequence, behind every earlier
+                // record, so a fatal source error ends the run only after
+                // those records are delivered, as it would a serial run.
+                let item = match self.next_record(source) {
+                    Ok(None) => {
+                        // Everything already dispatched still drains
+                        // through the merge above before we return.
+                        source_done = true;
+                        merge.summary.cancelled = self.is_cancelled();
                         break;
                     }
-                }
-                // The record borrow must die before `consumed_offset`, so
-                // classify the read first and dispatch after.
-                let got = match source.next_record() {
-                    Ok(None) => Fetched::End,
-                    Err(e) => Fetched::Fail(e),
-                    Ok(Some(record)) => {
-                        if record.len() > self.limits.max_record_bytes {
-                            Fetched::Oversized(record.len())
-                        } else {
-                            Fetched::Dispatch(record.to_vec())
-                        }
+                    Err(e) => {
+                        let resynced = self.resync(source, e);
+                        // Nothing is read past an error that ends the run.
+                        source_done = resynced.is_err();
+                        MergeItem::Source(resynced)
                     }
-                };
-                let end = source.consumed_offset();
-                match got {
-                    Fetched::End => {
-                        source_done = true;
-                        summary.cancelled = self.is_cancelled();
-                    }
-                    Fetched::Oversized(len) => {
-                        // Rejected before dispatch: deposit a pre-failed
-                        // result directly into the merge sequence,
-                        // skipping the workers entirely.
-                        if let Some(m) = metrics {
-                            m.record_limit_rejection();
-                        }
-                        let e = EngineError::Limit(LimitExceeded::RecordBytes {
-                            len,
-                            limit: self.limits.max_record_bytes,
-                        });
-                        let mut state = shared.state.lock().unwrap();
-                        state.results.insert(
-                            next_read,
-                            MergeItem::Record {
-                                len,
-                                end,
-                                staged: StagedMatches::default(),
-                                error: Some(e),
-                            },
-                        );
-                        state.in_flight += 1;
-                        next_read += 1;
-                    }
-                    Fetched::Dispatch(owned) => {
-                        // No record can deliver more than the run has left:
-                        // earlier records still in flight only lower it.
-                        let cap = self.max_matches - summary.matches;
-                        let mut state = shared.state.lock().unwrap();
-                        state.queue.push_back((next_read, end, owned, cap));
-                        state.in_flight += 1;
-                        if let Some(m) = metrics {
-                            m.record_queue_occupancy(state.in_flight as u64);
-                        }
-                        next_read += 1;
-                        drop(state);
-                        shared.work_ready.notify_one();
-                    }
-                    Fetched::Fail(e) => {
-                        if matches!(self.policy, ErrorPolicy::SkipMalformed) && e.is_resyncable() {
-                            match source.resync() {
-                                Ok(Some(span)) => {
-                                    // Enters the merge sequence so the sink
-                                    // sees it after all earlier records.
-                                    let mut state = shared.state.lock().unwrap();
-                                    state.results.insert(next_read, MergeItem::Resync(span, e));
-                                    state.in_flight += 1;
-                                    next_read += 1;
-                                    continue;
-                                }
-                                Ok(None) => {
-                                    self.stop(shared);
-                                    return Err(e);
-                                }
-                                Err(resync_err) => {
-                                    self.stop(shared);
-                                    return Err(resync_err);
-                                }
+                    Ok(Some(record)) => match self.reject(record.len()) {
+                        Some(e) => MergeItem::Record {
+                            len: record.len(),
+                            end: source.consumed_offset(),
+                            staged: StagedMatches::default(),
+                            error: Some(e),
+                        },
+                        None => {
+                            let owned = record.to_vec();
+                            // No record can deliver more than the run has
+                            // left: earlier records in flight only lower it.
+                            let job = (next_read, source.consumed_offset(), owned, merge.room());
+                            let mut state = shared.state.lock().unwrap();
+                            state.queue.push_back(job);
+                            state.in_flight += 1;
+                            if let Some(m) = metrics {
+                                m.record_queue_occupancy(state.in_flight as u64);
                             }
+                            drop(state);
+                            shared.work_ready.notify_one();
+                            next_read += 1;
+                            continue;
                         }
-                        self.stop(shared);
-                        return Err(e);
-                    }
-                }
+                    },
+                };
+                let mut state = shared.state.lock().unwrap();
+                state.results.insert(next_read, item);
+                state.in_flight += 1;
+                next_read += 1;
             }
             // Done when everything read has been merged.
             if source_done && next_merge == next_read {
-                self.final_checkpoint(&tracker, sink, &summary)?;
-                return Ok(summary);
+                return merge.finish();
             }
             // Otherwise wait until the next in-order result lands.
             let mut state = shared.state.lock().unwrap();
@@ -823,66 +605,161 @@ impl Pipeline {
             }
         }
     }
-
-    fn stop(&self, shared: &Shared) {
-        let mut state = shared.state.lock().unwrap();
-        state.stop = true;
-        drop(state);
-        shared.work_ready.notify_all();
-    }
 }
 
-/// Replays at most `room` staged matches to the real sink as borrowed
-/// [`Match`] handles over the staged record copy; returns how many were
-/// delivered (including the one the sink broke on) and whether the run
-/// ends here: the sink broke, or the run has delivered its cap.
-fn replay(
-    record: &[u8],
-    spans: &[StagedSpan],
+/// The one merge step of a run: every per-record decision, made in record
+/// order for the serial loop and the parallel merge alike. It owns the
+/// summary, the checkpoint cadence, the record ordinal and the sink; each
+/// entry returns whether the run continues.
+struct Merge<'a> {
+    pipeline: &'a Pipeline,
+    sink: &'a mut dyn MatchSink,
+    metrics: Option<&'a Metrics>,
+    summary: PipelineSummary,
+    tracker: Option<CheckpointTracker>,
+    /// Ordinal of the next record to merge (resyncs are not records).
     record_idx: u64,
-    sink: &mut dyn MatchSink,
-    room: usize,
-) -> (usize, bool) {
-    for (i, &(span, query)) in spans.iter().take(room).enumerate() {
-        let m = Match::new(record_idx, record, span).with_query(query);
-        if sink.on_match(m).is_break() {
-            return (i + 1, true);
+}
+
+impl<'a> Merge<'a> {
+    fn new(pipeline: &'a Pipeline, sink: &'a mut dyn MatchSink) -> Self {
+        Merge {
+            pipeline,
+            sink,
+            metrics: pipeline.live_metrics(),
+            summary: PipelineSummary::default(),
+            tracker: pipeline.checkpoints.map(CheckpointTracker::new),
+            record_idx: 0,
         }
     }
-    let delivered = spans.len().min(room);
-    (delivered, delivered == room)
-}
 
-/// Outcome of a serial-path [`Pipeline::try_resync`] attempt.
-enum Resynced {
-    /// The broken span was skipped; keep consuming the source.
-    Continue,
-    /// The sink broke on the resync report; end the run cleanly.
-    Stopped,
-    /// Policy or source cannot recover; propagate the original error.
-    Unrecoverable,
-}
+    /// The most matches the run can still deliver.
+    fn room(&self) -> usize {
+        self.pipeline.max_matches - self.summary.matches
+    }
 
-/// One step of the serial loop, computed while the record borrow is live
-/// so the source can be used again (offset, resync) once it is dropped.
-enum Step {
-    Done,
-    SourceErr(EngineError),
-    /// A record evaluated: what [`replay`] delivered, or why it failed.
-    Evaluated {
-        len: u64,
+    /// Replays the next record's staged matches to the sink, at most
+    /// [`room`](Self::room) of them, as borrowed [`Match`] handles over
+    /// `record`. Returns how many were delivered (including the one the
+    /// sink broke on) and whether the run ends here — the sink broke, or
+    /// the run delivered its cap — or the error that voids the record.
+    ///
+    /// A failed record that staged as many matches as the run can still
+    /// deliver delivers them instead: a worker's cap can exceed the room
+    /// left at merge time (earlier records were still in flight), so it
+    /// may scan on to a failure that a serial run, stopped at the cap,
+    /// never reaches.
+    #[inline]
+    fn replay(
+        &mut self,
+        record: &[u8],
+        spans: &[StagedSpan],
+        error: Option<EngineError>,
+    ) -> Result<(usize, bool), EngineError> {
+        let room = self.room();
+        if let Some(e) = error.filter(|_| spans.len() < room) {
+            return Err(e);
+        }
+        for (i, &(span, query)) in spans.iter().take(room).enumerate() {
+            let m = Match::new(self.record_idx, record, span).with_query(query);
+            if self.sink.on_match(m).is_break() {
+                return Ok((i + 1, true));
+            }
+        }
+        let delivered = spans.len().min(room);
+        Ok((delivered, delivered == room))
+    }
+
+    /// Merges one record: its length, the input offset just past it, and
+    /// what [`replay`](Self::replay) made of it. A failure aborts the run
+    /// under [`ErrorPolicy::FailFast`] and is reported and skipped under
+    /// [`ErrorPolicy::SkipMalformed`].
+    #[inline]
+    fn record(
+        &mut self,
+        len: usize,
+        end: Option<u64>,
         delivery: Result<(usize, bool), EngineError>,
-    },
-}
+    ) -> Result<bool, EngineError> {
+        self.summary.records += 1;
+        self.commit(end);
+        let broke = match delivery {
+            Ok((delivered, broke)) => {
+                self.summary.matches += delivered;
+                if let Some(m) = self.metrics {
+                    m.record_delivered(delivered as u64, len as u64);
+                }
+                broke
+            }
+            Err(mut e) => {
+                // Workers only know merge ordinals; stamp the true record
+                // ordinal here, where it is known.
+                if let EngineError::Panic { record_idx, .. } = &mut e {
+                    *record_idx = self.record_idx;
+                }
+                match self.pipeline.policy {
+                    ErrorPolicy::FailFast => return Err(e),
+                    ErrorPolicy::SkipMalformed => {
+                        self.summary.failed += 1;
+                        if let Some(m) = self.metrics {
+                            m.record_skipped_record();
+                        }
+                        self.sink.on_record_error(self.record_idx, &e).is_break()
+                    }
+                }
+            }
+        };
+        if broke {
+            self.summary.stopped = true;
+            return Ok(false);
+        }
+        self.record_idx += 1;
+        if self.tracker.as_mut().is_some_and(|t| t.due(len as u64)) {
+            self.checkpoint()?;
+        }
+        Ok(true)
+    }
 
-/// One read of the parallel producer, classified while the record borrow
-/// is live; dispatching happens after, so the producer can also ask the
-/// source for its consumed offset.
-enum Fetched {
-    End,
-    Fail(EngineError),
-    Oversized(usize),
-    Dispatch(Vec<u8>),
+    /// Merges one resynchronization: the global span the source abandoned
+    /// and the error that caused it.
+    fn resync(&mut self, span: (u64, u64), error: &EngineError) -> bool {
+        self.summary.resyncs += 1;
+        self.summary.resync_bytes += span.1 - span.0;
+        self.commit(Some(span.1));
+        if let Some(m) = self.metrics {
+            m.record_resync(span.1 - span.0);
+        }
+        if self.sink.on_resync(span, error).is_break() {
+            self.summary.stopped = true;
+            return false;
+        }
+        true
+    }
+
+    /// Raises the committed offset to `end`, when the source reports it.
+    fn commit(&mut self, end: Option<u64>) {
+        if let Some(end) = end {
+            self.summary.committed_offset = self.summary.committed_offset.max(end);
+        }
+    }
+
+    /// Delivers one checkpoint callback, recording it in metrics.
+    fn checkpoint(&mut self) -> Result<(), EngineError> {
+        if let Some(m) = self.metrics {
+            m.record_checkpoint();
+        }
+        self.sink.on_checkpoint(&self.summary)
+    }
+
+    /// Ends a cleanly ending run (complete, stopped, or cancelled) with
+    /// its closing checkpoint, when checkpointing is on, so the caller's
+    /// last durable state matches the returned summary.
+    fn finish(mut self) -> Result<PipelineSummary, EngineError> {
+        if self.tracker.is_some() {
+            self.checkpoint()?;
+        }
+        Ok(self.summary)
+    }
 }
 
 /// Counts merged records/bytes against a [`CheckpointCadence`].
@@ -939,9 +816,10 @@ enum MergeItem {
         /// Why the record failed, if it did.
         error: Option<EngineError>,
     },
-    /// A source resynchronization: the skipped global span and the error
-    /// that caused it.
-    Resync((u64, u64), EngineError),
+    /// A source error, as [`Pipeline::resync`] answered it: the skipped
+    /// global span and the error that caused it, or the error that ends
+    /// the run.
+    Source(Result<((u64, u64), EngineError), EngineError>),
 }
 
 struct State {
@@ -982,6 +860,19 @@ struct Shared {
     work_ready: Condvar,
     /// Signalled when a worker deposits a result.
     result_ready: Condvar,
+}
+
+impl Shared {
+    /// Takes the result with merge ordinal `ord` if it has landed, freeing
+    /// its in-flight slot.
+    fn take(&self, ord: u64) -> Option<MergeItem> {
+        let mut state = self.state.lock().unwrap();
+        let item = state.results.remove(&ord)?;
+        state.in_flight -= 1;
+        drop(state);
+        self.work_ready.notify_all();
+        Some(item)
+    }
 }
 
 /// Stages one record's matches as spans into the record, to be replayed
@@ -1030,6 +921,48 @@ impl MatchSink for Collector {
     }
 }
 
+/// Evaluates one admitted record into `staged` (already
+/// [`stage`](Collector::stage)d for it) as `worker`: worker 0 on the
+/// serial path, one of the pool on the parallel one. A panic becomes an
+/// [`EngineError::Panic`] carrying `idx` (the merge stamps the record
+/// ordinal) and voids whatever the record staged.
+#[inline]
+fn evaluate_into(
+    engine: &dyn Evaluate,
+    worker: usize,
+    idx: u64,
+    record: &[u8],
+    staged: &mut Collector,
+    metrics: Option<&Metrics>,
+) -> Option<EngineError> {
+    // Unwind safety: the engine is `&dyn Evaluate` with no cross-record
+    // mutable state (evaluation state is rebuilt per record), a torn stage
+    // is cleared below, and metrics counters are monotone saturating adds
+    // — a torn update is at worst an off-by-one count, never a broken
+    // invariant.
+    let outcome = catch_unwind(AssertUnwindSafe(|| match metrics {
+        Some(m) => {
+            m.record_worker(worker, record.len() as u64);
+            engine.evaluate_metered(record, idx, staged, m)
+        }
+        None => engine.evaluate(record, idx, staged),
+    }));
+    match outcome {
+        Ok(RecordOutcome::Failed(e)) => Some(e),
+        Ok(_) => None,
+        Err(p) => {
+            if let Some(m) = metrics {
+                m.record_worker_panic();
+            }
+            staged.spans.clear();
+            Some(EngineError::Panic {
+                record_idx: idx,
+                payload: panic_payload(p.as_ref()),
+            })
+        }
+    }
+}
+
 fn worker_loop(engine: &dyn Evaluate, shared: &Shared, worker: usize, metrics: Option<&Metrics>) {
     let mut state = shared.state.lock().unwrap();
     loop {
@@ -1038,52 +971,17 @@ fn worker_loop(engine: &dyn Evaluate, shared: &Shared, worker: usize, metrics: O
         }
         if let Some((idx, end, record, cap)) = state.queue.pop_front() {
             drop(state);
-            // Unwind safety: the engine is `&dyn Evaluate` with no
-            // cross-record mutable state (evaluation state is rebuilt per
-            // record), the collector is local to this closure and
-            // discarded on unwind, and metrics counters are monotone
-            // saturating adds — a torn update is at worst an off-by-one
-            // count, never a broken invariant.
-            let len = record.len();
-            let unwind = catch_unwind(AssertUnwindSafe(|| {
-                let mut collector = Collector::default();
-                collector.stage(&record, cap);
-                let outcome = match metrics {
-                    Some(m) => {
-                        m.record_worker(worker, record.len() as u64);
-                        engine.evaluate_metered(&record, idx, &mut collector, m)
-                    }
-                    None => engine.evaluate(&record, idx, &mut collector),
-                };
-                let record = collector.copy.take().unwrap_or(record);
-                (outcome, record, collector.spans)
-            }));
-            let (staged, error) = match unwind {
-                Ok((RecordOutcome::Failed(e), record, spans)) => ((record, spans), Some(e)),
-                Ok((_, record, spans)) => ((record, spans), None),
-                Err(p) => {
-                    if let Some(m) = metrics {
-                        m.record_worker_panic();
-                    }
-                    // `idx` is a merge ordinal; the merge loop stamps the
-                    // true record ordinal before the sink sees it.
-                    let e = EngineError::Panic {
-                        record_idx: idx,
-                        payload: panic_payload(p.as_ref()),
-                    };
-                    (StagedMatches::default(), Some(e))
-                }
+            let mut staged = Collector::default();
+            staged.stage(&record, cap);
+            let error = evaluate_into(engine, worker, idx, &record, &mut staged, metrics);
+            let item = MergeItem::Record {
+                len: record.len(),
+                end,
+                staged: (staged.copy.unwrap_or(record), staged.spans),
+                error,
             };
             state = shared.state.lock().unwrap();
-            state.results.insert(
-                idx,
-                MergeItem::Record {
-                    len,
-                    end,
-                    staged,
-                    error,
-                },
-            );
+            state.results.insert(idx, item);
             shared.result_ready.notify_all();
         } else if state.producer_done {
             return;

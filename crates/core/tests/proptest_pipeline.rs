@@ -1,11 +1,13 @@
 //! Property-based serial/parallel pipeline equivalence: on random record
-//! batches — including injected malformed records — a [`Pipeline`] must
-//! deliver a byte-identical match stream, the same summary, and the same
-//! deterministic metrics totals for every worker count and both error
-//! policies. Evaluated-side counters are additionally compared under
-//! [`ErrorPolicy::SkipMalformed`], where every record is evaluated exactly
-//! once regardless of parallelism (under `FailFast` workers may speculate
-//! past the failing record, so only delivered-side counters are portable).
+//! batches — including injected malformed records and splitter-breaking
+//! damage — a [`Pipeline`] must make the same sink callbacks in the same
+//! order (matches, record errors, resyncs and checkpoints), return the same
+//! summary, and count the same deterministic metrics totals for every
+//! worker count and both error policies. Evaluated-side counters are
+//! additionally compared under [`ErrorPolicy::SkipMalformed`], where every
+//! record is evaluated exactly once regardless of parallelism (under
+//! `FailFast` workers may speculate past the failing record, so only
+//! delivered-side counters are portable).
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -13,8 +15,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use jsonski::{
-    CancellationToken, EngineError, ErrorPolicy, JsonSki, Match, MatchSink, Metrics,
-    MetricsSnapshot, Pipeline, PipelineSummary, RecordSource, SliceRecords,
+    CancellationToken, CheckpointCadence, EngineError, ErrorPolicy, JsonSki, Match, MatchSink,
+    Metrics, MetricsSnapshot, Pipeline, PipelineSummary, RecordSource, SliceRecords,
 };
 
 /// Owned in-memory record batch (malformed records included verbatim —
@@ -35,22 +37,73 @@ impl RecordSource for OwnedRecords {
     }
 }
 
-/// Sink recording the full delivered stream: matches and skip reports.
+/// One sink callback, as [`Recorder`] logs it.
+#[derive(PartialEq, Eq, Debug)]
+enum Callback {
+    Match(u64, Vec<u8>),
+    RecordError(u64),
+    Resync(u64, u64),
+    Checkpoint(PipelineSummary),
+}
+
+/// Sink recording every callback in the order the pipeline made it.
 #[derive(Default, PartialEq, Eq, Debug)]
 struct Recorder {
-    matches: Vec<(u64, Vec<u8>)>,
-    errors: Vec<u64>,
+    log: Vec<Callback>,
+}
+
+impl Recorder {
+    /// The delivered matches: record ordinal and bytes.
+    fn matches(&self) -> Vec<(u64, Vec<u8>)> {
+        self.log
+            .iter()
+            .filter_map(|c| match c {
+                Callback::Match(idx, bytes) => Some((*idx, bytes.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The bytes of the delivered matches.
+    fn match_bytes(&self) -> impl Iterator<Item = &[u8]> {
+        self.log.iter().filter_map(|c| match c {
+            Callback::Match(_, bytes) => Some(bytes.as_slice()),
+            _ => None,
+        })
+    }
+
+    /// The ordinals of the records reported as skipped.
+    fn errors(&self) -> Vec<u64> {
+        self.log
+            .iter()
+            .filter_map(|c| match c {
+                Callback::RecordError(idx) => Some(*idx),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 impl MatchSink for Recorder {
     fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
-        self.matches.push((m.record_idx(), m.bytes().to_vec()));
+        self.log
+            .push(Callback::Match(m.record_idx(), m.bytes().to_vec()));
         ControlFlow::Continue(())
     }
 
     fn on_record_error(&mut self, record_idx: u64, _error: &EngineError) -> ControlFlow<()> {
-        self.errors.push(record_idx);
+        self.log.push(Callback::RecordError(record_idx));
         ControlFlow::Continue(())
+    }
+
+    fn on_resync(&mut self, span: (u64, u64), _error: &EngineError) -> ControlFlow<()> {
+        self.log.push(Callback::Resync(span.0, span.1));
+        ControlFlow::Continue(())
+    }
+
+    fn on_checkpoint(&mut self, summary: &PipelineSummary) -> Result<(), EngineError> {
+        self.log.push(Callback::Checkpoint(*summary));
+        Ok(())
     }
 }
 
@@ -177,17 +230,32 @@ fn run(
     jobs: usize,
     policy: ErrorPolicy,
 ) -> (Recorder, Result<PipelineSummary, String>, MetricsSnapshot) {
+    let pipeline = Pipeline::new().workers(jobs).error_policy(policy);
+    run_pipeline(engine, records, false, pipeline)
+}
+
+/// Runs `pipeline` (with a fresh metrics registry) over `records`: with
+/// their boundaries given, or, when `split`, newline-joined and discovered
+/// by [`SliceRecords`], which resynchronizes past splitter-breaking damage.
+#[allow(clippy::type_complexity)]
+fn run_pipeline(
+    engine: &JsonSki,
+    records: &[Vec<u8>],
+    split: bool,
+    pipeline: Pipeline,
+) -> (Recorder, Result<PipelineSummary, String>, MetricsSnapshot) {
     let metrics = Arc::new(Metrics::new());
-    let mut source = OwnedRecords {
+    let stream = records.join(&b'\n');
+    let mut sliced = SliceRecords::new(&stream);
+    let mut owned = OwnedRecords {
         records: records.to_vec(),
         next: 0,
     };
+    let source: &mut dyn RecordSource = if split { &mut sliced } else { &mut owned };
     let mut sink = Recorder::default();
-    let result = Pipeline::new()
-        .workers(jobs)
-        .error_policy(policy)
+    let result = pipeline
         .metrics(Arc::clone(&metrics))
-        .run(engine, &mut source, &mut sink)
+        .run(engine, source, &mut sink)
         .map_err(|e| e.to_string());
     (sink, result, metrics.snapshot())
 }
@@ -195,17 +263,37 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    // The whole callback log (matches, record errors, resync spans and
+    // checkpoint summaries, in order) is the same for every worker count,
+    // whether records come with their boundaries or through the splitter.
     #[test]
-    fn parallel_pipeline_equals_serial(records in batch(), q in query()) {
+    fn parallel_pipeline_equals_serial(
+        input in prop_oneof![
+            batch().prop_map(|r| (r, false)),
+            resync_batch().prop_map(|r| (r, true)),
+        ],
+        q in query(),
+        every in 1u64..4,
+    ) {
+        let (records, split) = input;
         let engine = JsonSki::compile(&q).unwrap();
-        let has_malformed = records.iter().any(|r| engine.count(r).is_err());
+        // A split stream can fail at its splitter, which ends a FailFast
+        // run before records already handed to workers are merged.
+        let has_malformed = split || records.iter().any(|r| engine.count(r).is_err());
         for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
-            let (ref_sink, ref_result, ref_snap) = run(&engine, &records, 1, policy);
+            let run = |jobs| {
+                let pipeline = Pipeline::new()
+                    .workers(jobs)
+                    .error_policy(policy)
+                    .checkpoints(CheckpointCadence::default().every_records(every));
+                run_pipeline(&engine, &records, split, pipeline)
+            };
+            let (ref_sink, ref_result, ref_snap) = run(1);
             for jobs in [2usize, 8] {
-                let (sink, result, snap) = run(&engine, &records, jobs, policy);
+                let (sink, result, snap) = run(jobs);
                 prop_assert_eq!(
                     &sink, &ref_sink,
-                    "delivered stream diverges: q={} jobs={} policy={:?}", q, jobs, policy
+                    "callback log diverges: q={} jobs={} policy={:?}", q, jobs, policy
                 );
                 match (&result, &ref_result) {
                     (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "summary: q={} jobs={}", q, jobs),
@@ -232,10 +320,10 @@ proptest! {
             // The pipeline's own summary must agree with the sink's view and
             // the metrics registry's delivered counters.
             if let Ok(summary) = &ref_result {
-                prop_assert_eq!(summary.matches, ref_sink.matches.len());
-                prop_assert_eq!(summary.failed, ref_sink.errors.len() as u64);
-                prop_assert_eq!(ref_snap.matches_delivered, ref_sink.matches.len() as u64);
-                prop_assert_eq!(ref_snap.records_skipped, ref_sink.errors.len() as u64);
+                prop_assert_eq!(summary.matches, ref_sink.matches().len());
+                prop_assert_eq!(summary.failed, ref_sink.errors().len() as u64);
+                prop_assert_eq!(ref_snap.matches_delivered, ref_sink.matches().len() as u64);
+                prop_assert_eq!(ref_snap.records_skipped, ref_sink.errors().len() as u64);
             }
         }
     }
@@ -276,7 +364,7 @@ proptest! {
             }
             let (uncapped, uncapped_result, _) = run(&engine, &records, 1, policy);
             if uncapped_result.is_ok() {
-                prop_assert_eq!(expect.len(), n.min(uncapped.matches.len()));
+                prop_assert_eq!(expect.len(), n.min(uncapped.matches().len()));
             }
             for jobs in [1usize, 2, 8] {
                 let mut source = OwnedRecords { records: records.clone(), next: 0 };
@@ -287,7 +375,7 @@ proptest! {
                     .max_matches(n)
                     .run(&engine, &mut source, &mut sink);
                 prop_assert_eq!(
-                    &sink.matches, &expect,
+                    &sink.matches(), &expect,
                     "q={} n={} jobs={} policy={:?}", q, n, jobs, policy
                 );
                 prop_assert_eq!(result.is_ok(), expect_ok, "q={} n={} jobs={}", q, n, jobs);
@@ -324,13 +412,8 @@ proptest! {
         prop_assert_eq!(head.resyncs + tail.resyncs, full.resyncs);
         prop_assert_eq!(head.resync_bytes + tail.resync_bytes, full.resync_bytes);
 
-        let whole: Vec<&[u8]> = full_sink.matches.iter().map(|(_, b)| b.as_slice()).collect();
-        let glued: Vec<&[u8]> = head_sink
-            .matches
-            .iter()
-            .chain(tail_sink.matches.iter())
-            .map(|(_, b)| b.as_slice())
-            .collect();
+        let whole: Vec<&[u8]> = full_sink.match_bytes().collect();
+        let glued: Vec<&[u8]> = head_sink.match_bytes().chain(tail_sink.match_bytes()).collect();
         prop_assert_eq!(glued, whole, "q={} jobs={} k={}", q, jobs, k);
     }
 
@@ -417,13 +500,8 @@ proptest! {
         prop_assert_eq!(first.resyncs + second.resyncs, full.resyncs);
         prop_assert_eq!(first.resync_bytes + second.resync_bytes, full.resync_bytes);
 
-        let whole: Vec<&[u8]> = full_sink.matches.iter().map(|(_, b)| b.as_slice()).collect();
-        let glued: Vec<&[u8]> = first_sink
-            .matches
-            .iter()
-            .chain(second_sink.matches.iter())
-            .map(|(_, b)| b.as_slice())
-            .collect();
+        let whole: Vec<&[u8]> = full_sink.match_bytes().collect();
+        let glued: Vec<&[u8]> = first_sink.match_bytes().chain(second_sink.match_bytes()).collect();
         prop_assert_eq!(glued, whole, "q={} jobs={} cancel_at={}", q, jobs, cancel_at);
     }
 
@@ -518,13 +596,8 @@ proptest! {
         prop_assert_eq!(first.resync_bytes + second.resync_bytes, full.resync_bytes,
             "resync bytes: q={} jobs={} cancel_at={}", q, jobs, cancel_at);
 
-        let whole: Vec<&[u8]> = full_sink.matches.iter().map(|(_, b)| b.as_slice()).collect();
-        let glued: Vec<&[u8]> = first_sink
-            .matches
-            .iter()
-            .chain(second_sink.matches.iter())
-            .map(|(_, b)| b.as_slice())
-            .collect();
+        let whole: Vec<&[u8]> = full_sink.match_bytes().collect();
+        let glued: Vec<&[u8]> = first_sink.match_bytes().chain(second_sink.match_bytes()).collect();
         prop_assert_eq!(glued, whole, "q={} jobs={} cancel_at={}", q, jobs, cancel_at);
     }
 }

@@ -30,6 +30,7 @@
 //!   pipeline's per-record `catch_unwind` plus a whole-request unwind
 //!   guard; a poisoned record costs its request a `500`, nothing more.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -217,28 +218,6 @@ pub struct ServeStats {
 impl ServeStats {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Renders the counters as `name value` scrape lines.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.pairs() {
-            out.push_str(&format!("serve_{name} {v}\n"));
-        }
-        out
-    }
-
-    /// Renders the counters as a JSON object.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.pairs().into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {v}"));
-        }
-        out.push('}');
-        out
     }
 
     fn pairs(&self) -> Vec<(&'static str, u64)> {
@@ -1018,55 +997,58 @@ fn scrape_metrics(req: &Request, shared: &Arc<Shared>) -> Vec<u8> {
         Some(c) => c.stats().pairs(),
         None => zero.pairs(),
     };
-    let mem_pairs = shared.budget.pairs();
-    let body = if req.metrics_json {
-        let mut index_json = String::from("{");
-        for (i, (name, v)) in index_pairs.iter().enumerate() {
-            if i > 0 {
-                index_json.push_str(", ");
-            }
-            index_json.push_str(&format!("\"{name}\": {v}"));
+    let sections = [
+        ("serve", "serve_", shared.stats.pairs()),
+        (
+            "cache",
+            "cache_",
+            vec![
+                ("hits", shared.cache.hits()),
+                ("misses", shared.cache.misses()),
+                ("entries", shared.cache.len() as u64),
+            ],
+        ),
+        ("index", "", index_pairs),
+        ("memory", "", shared.budget.pairs()),
+    ];
+    let mut body = String::new();
+    if req.metrics_json {
+        body.push('{');
+        for (section, _, pairs) in &sections {
+            let _ = write!(body, "\"{section}\": ");
+            render_pairs(&mut body, pairs, None);
+            body.push_str(", ");
         }
-        index_json.push('}');
-        let mut mem_json = String::from("{");
-        for (i, (name, v)) in mem_pairs.iter().enumerate() {
-            if i > 0 {
-                mem_json.push_str(", ");
-            }
-            mem_json.push_str(&format!("\"{name}\": {v}"));
-        }
-        mem_json.push('}');
-        format!(
-            "{{\"serve\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}}}, \"index\": {}, \"memory\": {}, \"engine\": {}}}\n",
-            shared.stats.render_json(),
-            shared.cache.hits(),
-            shared.cache.misses(),
-            shared.cache.len(),
-            index_json,
-            mem_json,
-            snapshot.to_json(),
-        )
+        let _ = writeln!(body, "\"engine\": {}}}", snapshot.to_json());
     } else {
-        let mut index_text = String::new();
-        for (name, v) in &index_pairs {
-            index_text.push_str(&format!("{name} {v}\n"));
+        for (_, prefix, pairs) in &sections {
+            render_pairs(&mut body, pairs, Some(prefix));
         }
-        let mut mem_text = String::new();
-        for (name, v) in &mem_pairs {
-            mem_text.push_str(&format!("{name} {v}\n"));
-        }
-        format!(
-            "{}cache_hits {}\ncache_misses {}\ncache_entries {}\n{}{}# engine metrics\n{}",
-            shared.stats.render_text(),
-            shared.cache.hits(),
-            shared.cache.misses(),
-            shared.cache.len(),
-            index_text,
-            mem_text,
-            snapshot,
-        )
-    };
+        let _ = write!(body, "# engine metrics\n{snapshot}");
+    }
     encode_response(Status::Ok, &req.id, 0, 0, 0, None, body.as_bytes())
+}
+
+/// Appends `(name, value)` counters to a scrape body: one `{prefix}name
+/// value` line each in text (`prefix` given), or one JSON object.
+fn render_pairs(out: &mut String, pairs: &[(&str, u64)], text_prefix: Option<&str>) {
+    match text_prefix {
+        Some(prefix) => {
+            for (name, v) in pairs {
+                let _ = writeln!(out, "{prefix}{name} {v}");
+            }
+        }
+        None => {
+            out.push('{');
+            for (i, (name, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "\"{name}\": {v}");
+            }
+            out.push('}');
+        }
+    }
 }
 
 /// A zero-counter [`WorkResult`] for watchdog-fabricated outcomes.

@@ -332,6 +332,68 @@ fn metrics_scrape_requires_opt_in_and_reports_counters() {
     };
     let (addr, token, handle) = start(config);
     let mut client = Client::connect_tcp(&addr).unwrap();
+    // A fresh server's serve, cache, index and memory sections, byte for
+    // byte in both formats; the two scrapes are its only requests so far.
+    let text = String::from_utf8(client.metrics(false).unwrap().body).unwrap();
+    let json = String::from_utf8(client.metrics(true).unwrap().body).unwrap();
+    assert_eq!(
+        (
+            text.split_once("# engine metrics\n").unwrap().0,
+            json.split_once(", \"engine\": ").unwrap().0
+        ),
+        (
+            "serve_connections 1\n\
+            serve_requests 1\n\
+            serve_admitted 0\n\
+            serve_ok 0\n\
+            serve_bad_request 0\n\
+            serve_timeouts 0\n\
+            serve_eval_failed 0\n\
+            serve_shed_queue 0\n\
+            serve_shed_tenant 0\n\
+            serve_shed_memory 0\n\
+            serve_streamed 0\n\
+            serve_panics 0\n\
+            serve_draining_rejects 0\n\
+            serve_pings 0\n\
+            serve_scrapes 1\n\
+            serve_protocol_errors 0\n\
+            serve_stalled_conns 0\n\
+            serve_stalled_writes 0\n\
+            serve_corpus_not_found 0\n\
+            cache_hits 0\n\
+            cache_misses 0\n\
+            cache_entries 0\n\
+            index_hit 0\n\
+            index_miss 0\n\
+            index_stale 0\n\
+            index_corrupt_fallback 0\n\
+            index_rebuilds 0\n\
+            index_skipped_classification_bytes 0\n\
+            mem_budget_bytes 0\n\
+            mem_tenant_cap_bytes 0\n\
+            mem_used_bytes 0\n\
+            mem_peak_bytes 0\n\
+            mem_denied_global 0\n\
+            mem_denied_tenant 0\n\
+            mem_evictions 0\n\
+            mem_forced_streams 0\n\
+            mem_corpus_stream_fallbacks 0\n",
+            "{\"serve\": {\"connections\": 1, \"requests\": 2, \"admitted\": 0, \"ok\": 0, \
+            \"bad_request\": 0, \"timeouts\": 0, \"eval_failed\": 0, \"shed_queue\": 0, \
+            \"shed_tenant\": 0, \"shed_memory\": 0, \"streamed\": 0, \"panics\": 0, \
+            \"draining_rejects\": 0, \"pings\": 0, \"scrapes\": 2, \"protocol_errors\": 0, \
+            \"stalled_conns\": 0, \"stalled_writes\": 0, \"corpus_not_found\": 0}, \
+            \"cache\": {\"hits\": 0, \"misses\": 0, \"entries\": 0}, \
+            \"index\": {\"index_hit\": 0, \"index_miss\": 0, \"index_stale\": 0, \
+            \"index_corrupt_fallback\": 0, \"index_rebuilds\": 0, \
+            \"index_skipped_classification_bytes\": 0}, \
+            \"memory\": {\"mem_budget_bytes\": 0, \"mem_tenant_cap_bytes\": 0, \
+            \"mem_used_bytes\": 0, \"mem_peak_bytes\": 0, \"mem_denied_global\": 0, \
+            \"mem_denied_tenant\": 0, \"mem_evictions\": 0, \"mem_forced_streams\": 0, \
+            \"mem_corpus_stream_fallbacks\": 0}"
+        )
+    );
     let body = ndjson(10);
     for _ in 0..3 {
         assert!(client.query("q", "t", "$.id", None, &body).unwrap().is_ok());
@@ -360,6 +422,7 @@ fn drain_rejects_new_requests_but_finishes_in_flight() {
     let config = ServeConfig {
         workers: 2,
         default_deadline: Duration::from_secs(10),
+        metrics_endpoint: true,
         ..ServeConfig::default()
     };
     let (addr, token, handle) = start(config);
@@ -376,7 +439,17 @@ fn drain_rejects_new_requests_but_finishes_in_flight() {
                 .unwrap()
         })
     };
-    std::thread::sleep(Duration::from_millis(50));
+    // Drain only once the request is admitted: one still in the accept
+    // path would rightly be refused by the drain gate.
+    let mut scraper = Client::connect_tcp(&addr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while scrape_counter(&mut scraper, "serve_admitted") == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "in-flight request never admitted"
+        );
+    }
+    drop(scraper);
     token.cancel();
     // The in-flight request completes with full, correct output.
     let resp = inflight.join().unwrap();

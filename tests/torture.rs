@@ -27,7 +27,7 @@ use jsonski_repro::domparser::DomQuery;
 use jsonski_repro::jsonpath::Path;
 use jsonski_repro::jsonski::faults::{mutate, FaultPlan, FaultyReader, SplitMix64};
 use jsonski_repro::jsonski::{
-    ChunkedRecords, EngineError, ErrorPolicy, Evaluate, JsonSki, MatchSink, Pipeline,
+    ChunkedRecords, EngineError, ErrorPolicy, Evaluate, JsonSki, Match, MatchSink, Pipeline,
     PipelineSummary, RecordOutcome, ResourceLimits,
 };
 
@@ -40,8 +40,8 @@ struct Recorder {
 }
 
 impl MatchSink for Recorder {
-    fn on_match(&mut self, record_idx: u64, bytes: &[u8]) -> ControlFlow<()> {
-        self.matches.push((record_idx, bytes.to_vec()));
+    fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
+        self.matches.push((m.record_idx(), m.bytes().to_vec()));
         ControlFlow::Continue(())
     }
 
