@@ -29,17 +29,25 @@
 //!    request for any later word reads that word's lanes directly; the
 //!    words in between need no work, because prebuilt lanes carry no
 //!    string state.
-//! 3. **Window word.** Without a validator, a request for any later word
-//!    already in the live window reads it from there; a forward skip
-//!    inside the window costs nothing per word.
+//! 3. **Window word.** A request for any later word already in the live
+//!    window reads it from there; a forward skip inside the window costs
+//!    nothing per word.
 //! 4. **Slow path** (out of line): everything else. A live request past
 //!    the window refills it, batch after batch, until the word is in it
 //!    (a skip past the window still classifies every word in between,
 //!    since string state must be carried through them, but a batch at a
-//!    time). Strict mode classifies one word at a time and feeds the
-//!    validator every word in classification order; a prebuilt cursor
-//!    with a validator reads each lane in order for the same reason. A
-//!    rewind panics (the streaming-violation assert).
+//!    time). In Strict mode each refill also feeds the validator the same
+//!    words, in order, in one batch, so a strict cursor serves words from
+//!    the window like a permissive one. A prebuilt cursor with a validator
+//!    comes here for every new word: its validator reads the input a
+//!    batch at a time ahead of the lanes. A rewind panics (the
+//!    streaming-violation assert).
+//!
+//! A validator fed ahead of the position may find a violation in a word
+//! the cursor has not reached; it stays hidden (`poisoned`) until the
+//! cursor reaches the word in which it was detected, so what a strict
+//! run reports, and where it stops, is what a word-by-word validator
+//! gives.
 //!
 //! The scanning primitives (pairing, next-bit search, the batched
 //! primitive skip and the G1 attribute seek) are written once, generic
@@ -71,13 +79,13 @@ pub struct Cursor<'a> {
     /// The live window: `window[..win_end - win_start]` holds words
     /// `win_start..win_end`, classified ahead (the classifier's string
     /// state stands at the end of word `win_end - 1`). Allocated by the
-    /// first refill, so a cursor with a validator or a prebuilt index,
-    /// which never refills, carries and copies only the pointer.
+    /// first refill, so a cursor with a prebuilt index, which never
+    /// refills, carries and copies only the pointer.
     window: Option<Box<[BlockBitmaps; WINDOW]>>,
     win_start: usize,
     win_end: usize,
-    /// Strict-mode validator riding the word iterator: every word fed
-    /// through [`Cursor::word`] is validated in classification order, so
+    /// Strict-mode validator riding the live window: every word classified
+    /// is validated, in classification order and in the same batch, so
     /// fast-forwarded spans are checked without a second pass. `None` in
     /// Permissive mode (zero cost on the hot path).
     validator: Option<Validator>,
@@ -176,9 +184,12 @@ impl<'a> Cursor<'a> {
     /// clean.
     #[inline]
     fn poisoned(&self) -> Option<StreamError> {
+        // The validator runs up to a window ahead of the position; a
+        // violation it found there stays hidden until the cursor reaches
+        // the word in which it was detected.
         self.validator
             .as_ref()
-            .and_then(|v| v.error())
+            .and_then(|v| v.error_before(self.classified))
             .map(|(pos, reason)| StreamError::Invalid { pos, reason })
     }
 
@@ -350,22 +361,22 @@ impl<'a> Cursor<'a> {
             }
             return self.cur;
         }
-        if idx >= self.classified && self.validator.is_none() {
+        if idx >= self.classified {
             if let Some(pre) = self.prebuilt {
-                self.cur = pre[idx];
-                self.classified = idx + 1;
-                return self.cur;
-            }
-            match &self.window {
+                if self.validator.is_none() {
+                    self.cur = pre[idx];
+                    self.classified = idx + 1;
+                    return self.cur;
+                }
+            } else if let Some(window) = &self.window {
                 // Words `classified..win_end` are windowed, and
                 // `win_start <= classified` (a refill starts the window at
                 // or before the word it was filled for).
-                Some(window) if idx < self.win_end => {
+                if idx < self.win_end {
                     self.cur = window[idx - self.win_start];
                     self.classified = idx + 1;
                     return self.cur;
                 }
-                _ => {}
             }
         }
         self.word_slow(idx);
@@ -373,9 +384,9 @@ impl<'a> Cursor<'a> {
     }
 
     /// [`Cursor::word`]'s out-of-line path: live words past the window,
-    /// strict mode, prebuilt lanes read in order for a validator, and
-    /// rewinds (which panic). Leaves word `idx` current; returning nothing
-    /// keeps the 64-byte bitmaps out of the call's return path.
+    /// prebuilt lanes read in order for a validator, and rewinds (which
+    /// panic). Leaves word `idx` current; returning nothing keeps the
+    /// 64-byte bitmaps out of the call's return path.
     #[inline(never)]
     fn word_slow(&mut self, idx: usize) {
         assert!(
@@ -389,48 +400,28 @@ impl<'a> Cursor<'a> {
         }
         #[cfg(feature = "metrics")]
         let t0 = (self.classified <= idx).then(std::time::Instant::now);
-        if self.validator.is_none() && self.prebuilt.is_none() {
-            // Windowed words are taken as they are; only words past the
-            // window are classified, a batch at a time.
-            while self.win_end <= idx {
-                self.refill(idx);
+        if idx >= self.classified {
+            assert!(idx < self.word_count(), "word {idx} out of range");
+            match self.prebuilt {
+                // Only a validator sends a prebuilt cursor here: it reads
+                // the input a batch at a time, ahead of the lanes.
+                Some(pre) => {
+                    if let Some(v) = self.validator.as_mut() {
+                        validate_through(v, self.input, idx);
+                    }
+                    self.cur = pre[idx];
+                }
+                // Windowed words are taken as they are; only words past
+                // the window are classified, a batch at a time.
+                None => {
+                    while self.win_end <= idx {
+                        self.refill();
+                    }
+                    let window = self.window.as_ref().expect("a refill allocates the window");
+                    self.cur = window[idx - self.win_start];
+                }
             }
-            let window = self.window.as_ref().expect("a refill allocates the window");
-            self.cur = window[idx - self.win_start];
             self.classified = idx + 1;
-        }
-        while self.classified <= idx {
-            let start = self.classified * BLOCK;
-            assert!(start < self.input.len(), "word {idx} out of range");
-            if start + BLOCK <= self.input.len() {
-                // Full word: classify in place, no copy.
-                let block: &[u8; BLOCK] = self.input[start..start + BLOCK]
-                    .try_into()
-                    .expect("exact block");
-                self.cur = match self.prebuilt {
-                    // `with_prebuilt` guaranteed coverage of every word.
-                    Some(pre) => pre[self.classified],
-                    None => self.cls.classify(block),
-                };
-                if let Some(v) = self.validator.as_mut() {
-                    v.feed_block(block, BLOCK);
-                }
-            } else {
-                // Short tail: zero-pad once and share the copy between the
-                // classifier and the validator (padding NULs are masked by
-                // the valid length, so they never read as control bytes).
-                let tail = &self.input[start..];
-                let mut block = [0u8; BLOCK];
-                block[..tail.len()].copy_from_slice(tail);
-                self.cur = match self.prebuilt {
-                    Some(pre) => pre[self.classified],
-                    None => self.cls.classify(&block),
-                };
-                if let Some(v) = self.validator.as_mut() {
-                    v.feed_block(&block, tail.len());
-                }
-            }
-            self.classified += 1;
         }
         #[cfg(feature = "metrics")]
         if let Some(t0) = t0 {
@@ -440,25 +431,24 @@ impl<'a> Cursor<'a> {
 
     /// Classifies the next batch of live words, up to `WINDOW` of them
     /// including the zero-padded tail word, into the window, which then
-    /// starts at the old window's end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window already reaches the end of the input (word
-    /// `idx`, the word being sought, is then out of range).
-    fn refill(&mut self, idx: usize) {
-        let start = self.win_end * BLOCK;
-        assert!(start < self.input.len(), "word {idx} out of range");
-        let (full, tail) = self.input[start..].as_chunks::<BLOCK>();
-        let n = full.len().min(WINDOW);
+    /// starts at the old window's end. A validator is fed the same words,
+    /// in order, in the same batch.
+    fn refill(&mut self) {
+        let (full, tail) = batch(self.input, self.win_end * BLOCK);
+        let n = full.len();
         let window = self
             .window
             .get_or_insert_with(|| Box::new([BlockBitmaps::default(); WINDOW]));
-        self.cls.classify_many(&full[..n], &mut window[..n]);
+        self.cls.classify_many(full, &mut window[..n]);
+        if let Some(v) = self.validator.as_mut() {
+            v.feed_blocks(full);
+        }
         let mut filled = n;
-        if n < WINDOW && !tail.is_empty() {
-            // `full` ran out before the window did: the tail follows it.
-            window[n] = self.cls.classify_tail(tail);
+        if let Some((block, len)) = tail {
+            window[n] = self.cls.classify(&block);
+            if let Some(v) = self.validator.as_mut() {
+                v.feed_block(&block, len);
+            }
             filled += 1;
         }
         self.win_start = self.win_end;
@@ -604,6 +594,40 @@ impl<'a> Cursor<'a> {
     ) -> Option<usize> {
         let (from, len) = (self.pos, self.input.len());
         with_words!(self, |src| find_close(src, from, len, depth, pair))
+    }
+}
+
+/// A short tail word zero-padded to a full word, with its length.
+type PaddedWord = ([u8; BLOCK], usize);
+
+/// The words of the batch starting at byte `start` (a word boundary):
+/// up to `WINDOW` full words, then, when the input runs out first, its
+/// short tail zero-padded to a word, with its length. The copy serves the
+/// classifier and the validator alike (padding NULs are masked by the
+/// valid length, so they never read as control bytes).
+fn batch(input: &[u8], start: usize) -> (&[[u8; BLOCK]], Option<PaddedWord>) {
+    let (full, tail) = input[start..].as_chunks::<BLOCK>();
+    if full.len() >= WINDOW {
+        return (&full[..WINDOW], None);
+    }
+    let tail = (!tail.is_empty()).then(|| {
+        let mut block = [0u8; BLOCK];
+        block[..tail.len()].copy_from_slice(tail);
+        (block, tail.len())
+    });
+    (full, tail)
+}
+
+/// Feeds `v` the words of `input` a batch at a time until it has seen word
+/// `idx` (a prebuilt strict cursor's validator, which reads ahead of the
+/// lanes like a live window).
+fn validate_through(v: &mut Validator, input: &[u8], idx: usize) {
+    while v.offset() <= idx * BLOCK {
+        let (full, tail) = batch(input, v.offset());
+        v.feed_blocks(full);
+        if let Some((block, len)) = tail {
+            v.feed_block(&block, len);
+        }
     }
 }
 

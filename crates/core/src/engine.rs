@@ -1599,6 +1599,7 @@ mod tests {
 #[cfg(test)]
 mod ablation_tests {
     use super::*;
+    use simdbits::BLOCK;
 
     fn configs() -> Vec<EngineConfig> {
         let mut out = Vec::new();
@@ -1786,6 +1787,73 @@ mod ablation_tests {
             strict("$.it[*]").matches(&json),
             Err(StreamError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn strict_break_before_a_fault_in_the_same_window_returns_stopped() {
+        // The validator runs a window (16 words) ahead of the cursor, so it
+        // finds the fault in word 5 while the cursor is still in word 0;
+        // the break there must still win.
+        let mut json = b"{\"it\": [1, 2], \"pad\": \"".to_vec();
+        json.resize(5 * BLOCK + 10, b'x');
+        json.extend_from_slice(b"\xFF\"}");
+        let outcome = strict("$.it[*]")
+            .stream(&json, |_| ControlFlow::Break(()))
+            .unwrap();
+        assert!(outcome.stopped);
+        assert_eq!(outcome.words_classified, 1);
+        assert_eq!(
+            first_invalid("$.it[*]", &json),
+            (5 * BLOCK + 10, crate::InvalidReason::Utf8)
+        );
+    }
+
+    #[test]
+    fn strict_delivers_a_match_in_one_word_before_a_fault_in_the_next() {
+        // `"a": 7` sits in word 1 and the bad byte in word 2: the match is
+        // delivered before the error, as a word-by-word validator would.
+        let mut json = b"{\"pad\": \"".to_vec();
+        json.resize(BLOCK + 8, b'x');
+        json.extend_from_slice(b"\", \"a\": 7, \"b\": \"");
+        let bad = 2 * BLOCK + 20;
+        json.resize(bad, b'y');
+        json.extend_from_slice(b"\xC3(\"}");
+        let mut got = Vec::new();
+        let result = strict("$.a").stream(&json, |m| {
+            got.push(m.bytes().to_vec());
+            ControlFlow::Continue(())
+        });
+        assert_eq!(got, vec![b"7".to_vec()]);
+        assert_eq!(
+            result.map(|o| o.matches),
+            Err(StreamError::Invalid {
+                pos: bad + 1,
+                reason: crate::InvalidReason::Utf8
+            })
+        );
+    }
+
+    #[test]
+    fn strict_lone_surrogate_breaking_in_a_later_word_reports_its_backslash() {
+        // The high surrogate's `\` is in word 0; the byte that breaks the
+        // pair (and so detects the fault) is in word 1.
+        let mut json = b"{\"a\": 1, \"s\": \"".to_vec();
+        json.resize(BLOCK - 4, b'x');
+        json.extend_from_slice(br#"\uD800!", "t": 2}"#);
+        let backslash = BLOCK - 4;
+        assert_eq!(
+            first_invalid("$.a", &json),
+            (backslash, crate::InvalidReason::LoneSurrogate)
+        );
+        assert_eq!(
+            first_invalid("$.t", &json),
+            (backslash, crate::InvalidReason::LoneSurrogate)
+        );
+        // A break in word 0 stops before the detection.
+        let outcome = strict("$.a")
+            .stream(&json, |_| ControlFlow::Break(()))
+            .unwrap();
+        assert!(outcome.stopped);
     }
 
     #[test]

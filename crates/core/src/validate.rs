@@ -4,24 +4,46 @@
 //! JSONSki's speed comes from not looking at bytes it skips (paper Algs.
 //! 4–5), which means a malformed or hostile document can sail through G1–G5
 //! undetected. [`ValidationMode::Strict`] closes that blind spot the way
-//! simdjson's On-Demand parsing does (Keiser & Lemire, "Validating UTF-8 in
-//! less than one instruction per byte" + On-Demand): a streaming validator
-//! rides the existing 64-byte word iterator and checks each word as it is
-//! classified, so validation costs one extra scan per word instead of a
-//! second parse.
+//! simdjson does (Langdale & Lemire, "Parsing Gigabytes of JSON per
+//! Second"; Keiser & Lemire, "Validating UTF-8 in less than one instruction
+//! per byte" and On-Demand): the validator rides the cursor's classification
+//! window and checks each batch of 64-byte blocks with bit-parallel masks,
+//! so validation costs one extra scan per word instead of a second parse.
 //!
 //! The validator is deliberately *independent* of the structural
 //! [`Classifier`](simdbits::Classifier): it recomputes its own byte-class
 //! bitmaps via [`simdbits::scan`], so a classifier bug cannot hide a
 //! validation bug (and vice versa — the differential fuzzer exploits this).
 //!
+//! # How a block is checked
+//!
+//! Each block is first judged with masks. [`simdbits::scan::scan_many`]
+//! gives its byte classes and the Keiser–Lemire UTF-8 flags; the string
+//! mask follows from the quotes and the odd-backslash-run escapes (the
+//! classifier's trick, over the validator's own bitmaps); escaped
+//! characters, and the hex digits of `\u` escapes, are checked only at
+//! escape positions; nesting depth moves by popcounts; whitespace before the
+//! root and after it is one mask test each. A block the masks pass is clean,
+//! and its end state is exact.
+//!
+//! The byte-at-a-time DFA is kept as the exact-offset locator for the cold
+//! cases: a block the masks flag (the DFA then finds the first violation and
+//! its offset), a block holding a surrogate `\u` escape (pairing is
+//! sequential), the bytes of an escape or surrogate pair carried across a
+//! block edge, and bare string or primitive roots.
+//!
+//! A violation is recorded with the block in which it was *detected*, which
+//! is not always the block of its offset (a lone high surrogate is reported
+//! at its `\` but detected at the byte that breaks the pair). A validator fed
+//! ahead of its reader exposes a violation only once the reader reaches
+//! that block ([`Validator::error_before`]).
+//!
 //! # What Strict checks (and what it doesn't)
 //!
 //! Strict rejects, with the byte offset of the first violation:
 //! - malformed UTF-8 (overlongs, surrogates, > U+10FFFF, stray or missing
-//!   continuation bytes) — bit-parallel ASCII fast path, scalar DFA on
-//!   blocks containing non-ASCII bytes;
-//! - unescaped control bytes inside strings — bit-parallel;
+//!   continuation bytes);
+//! - unescaped control bytes inside strings;
 //! - invalid escapes, malformed `\u` sequences, lone UTF-16 surrogates;
 //! - unterminated strings;
 //! - trailing garbage after the root value;
@@ -32,9 +54,14 @@
 //! Permissive intentionally checks nothing beyond what evaluation itself
 //! touches. See DESIGN.md §9.
 
+use crate::cursor::find_depth_zero;
 use crate::error::InvalidReason;
-use simdbits::scan::{scan_block, ScanBitmaps};
+use simdbits::bits::{mask_below, prefix_xor};
+use simdbits::scan::{scan_many, ScanBitmaps, ScanCarry};
 use simdbits::{Kernel, StringState, BLOCK};
+
+/// Blocks per [`scan_many`] call in [`Validator::feed_blocks`].
+const BATCH: usize = 16;
 
 /// How much well-formedness checking the engine performs on each record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -130,14 +157,18 @@ impl Utf8State {
     }
 }
 
-/// Streaming strict validator. Feed 64-byte blocks in classification order
-/// via [`Validator::feed_block`]; the first violation freezes the state and
-/// is reported by [`Validator::error`] / [`Validator::finish`].
+/// Streaming strict validator. Feed 64-byte blocks in order via
+/// [`Validator::feed_blocks`] (a batch of full blocks) or
+/// [`Validator::feed_block`] (one block, possibly short); the first
+/// violation freezes the state and is reported by [`Validator::error`] /
+/// [`Validator::finish`].
 #[derive(Clone, Debug)]
 pub struct Validator {
     kernel: Kernel,
     /// Absolute byte offset of the next block to be fed.
     base: usize,
+    /// The UTF-8 lookback the next block's scan reads.
+    carry: ScanCarry,
     in_string: bool,
     escape: Escape,
     utf8: Utf8State,
@@ -146,6 +177,8 @@ pub struct Validator {
     /// Offset of a high-surrogate escape's `\` awaiting its low partner.
     expect_low: Option<usize>,
     error: Option<(usize, InvalidReason)>,
+    /// Index of the block being fed when `error` was found.
+    detected: usize,
 }
 
 impl Validator {
@@ -154,6 +187,7 @@ impl Validator {
         Validator {
             kernel,
             base: 0,
+            carry: ScanCarry::default(),
             in_string: false,
             escape: Escape::None,
             utf8: Utf8State::default(),
@@ -161,6 +195,7 @@ impl Validator {
             root: Root::NotSeen,
             expect_low: None,
             error: None,
+            detected: 0,
         }
     }
 
@@ -169,10 +204,28 @@ impl Validator {
         self.error
     }
 
+    /// The first violation found so far, provided it was detected in one of
+    /// the first `blocks` blocks fed. A reader that fed the validator ahead
+    /// of its position asks with the number of blocks it has reached, and
+    /// so sees exactly what a validator fed block by block in step with it
+    /// would have found.
+    #[inline]
+    pub fn error_before(&self, blocks: usize) -> Option<(usize, InvalidReason)> {
+        self.error.filter(|_| self.detected < blocks)
+    }
+
+    /// Bytes fed so far.
+    #[inline]
+    pub(crate) fn offset(&self) -> usize {
+        self.base
+    }
+
     #[inline]
     fn fail(&mut self, pos: usize, reason: InvalidReason) {
         if self.error.is_none() {
             self.error = Some((pos, reason));
+            // `base` already counts the block being fed.
+            self.detected = self.base.saturating_sub(1) / BLOCK;
         }
     }
 
@@ -180,94 +233,263 @@ impl Validator {
     /// (the rest is padding, which carries no data and is skipped).
     pub fn feed_block(&mut self, block: &[u8; BLOCK], valid_len: usize) {
         debug_assert!(valid_len <= BLOCK);
+        if self.error.is_some() {
+            self.base += valid_len;
+            return;
+        }
+        let mut scan = [ScanBitmaps::default()];
+        let mut carry = self.carry;
+        scan_many(
+            self.kernel,
+            std::slice::from_ref(block),
+            &mut carry,
+            &mut scan,
+        );
+        // The next block's UTF-8 lookback is the input's last bytes, not
+        // this block's padding.
+        self.carry.advance(&block[..valid_len]);
+        self.feed_scanned(block, &scan[0], valid_len, prefix_xor);
+    }
+
+    /// Feeds the next `blocks.len()` full blocks, scanning them a batch at
+    /// a time (one kernel dispatch per batch). Equivalent to one
+    /// [`feed_block`](Self::feed_block) per block.
+    pub fn feed_blocks(&mut self, blocks: &[[u8; BLOCK]]) {
+        let mut scans = [ScanBitmaps::default(); BATCH];
+        for batch in blocks.chunks(BATCH) {
+            if self.error.is_some() {
+                self.base += batch.len() * BLOCK;
+                continue;
+            }
+            let scans = &mut scans[..batch.len()];
+            scan_many(self.kernel, batch, &mut self.carry, scans);
+            self.feed_scans(batch, scans);
+        }
+    }
+
+    /// Checks a batch of scanned full blocks. With an x86 SIMD kernel the
+    /// loop runs in a region with the CPU's `popcnt` and carry-less
+    /// multiply (the depth popcounts and the string mask's prefix XOR);
+    /// the portable kernels run the same loop on baseline instructions.
+    fn feed_scans(&mut self, blocks: &[[u8; BLOCK]], scans: &[ScanBitmaps]) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if self.kernel != Kernel::Scalar
+            && self.kernel != Kernel::Swar
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
+            // SAFETY: POPCNT was just detected, and an x86 SIMD kernel is
+            // only supported with PCLMULQDQ (`Kernel::is_supported`).
+            unsafe { self.feed_scans_x86(blocks, scans) };
+            return;
+        }
+        for (block, scan) in blocks.iter().zip(scans) {
+            self.feed_scanned(block, scan, BLOCK, prefix_xor);
+        }
+    }
+
+    /// [`feed_scans`](Self::feed_scans) under POPCNT and PCLMULQDQ.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support both.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "popcnt,pclmulqdq")]
+    unsafe fn feed_scans_x86(&mut self, blocks: &[[u8; BLOCK]], scans: &[ScanBitmaps]) {
+        for (block, scan) in blocks.iter().zip(scans) {
+            // SAFETY: this function's own target features cover the multiply.
+            self.feed_scanned(block, scan, BLOCK, |x| unsafe {
+                simdbits::bits::clmul_prefix_xor(x)
+            });
+        }
+    }
+
+    /// Checks one scanned block: the bytes of an escape or surrogate pair
+    /// carried in from the previous block first, byte by byte, then the
+    /// rest with masks, or with the DFA where the masks cannot decide.
+    #[inline(always)]
+    fn feed_scanned(
+        &mut self,
+        block: &[u8; BLOCK],
+        scan: &ScanBitmaps,
+        valid_len: usize,
+        prefix_xor: impl Fn(u64) -> u64,
+    ) {
         let start = self.base;
         self.base += valid_len;
         if self.error.is_some() || valid_len == 0 {
             return;
         }
-        let bm = scan_block(self.kernel, block);
-        let valid = if valid_len == BLOCK {
-            u64::MAX
-        } else {
-            (1u64 << valid_len) - 1
-        };
-        // Fast path: inside the root container, no escape/UTF-8 state
-        // pending, and the block is pure ASCII with no backslashes. Then the
-        // string mask is a prefix XOR of the quotes, the control check is one
-        // AND, and depth moves by popcounts.
-        let fast = self.escape == Escape::None
-            && self.utf8.need == 0
-            && self.expect_low.is_none()
-            && self.root == Root::Container
-            && bm.high & valid == 0
-            && bm.backslash & valid == 0;
-        if fast {
-            self.feed_fast(block, &bm, valid, valid_len, start);
-        } else {
-            self.feed_scalar(&block[..valid_len], start);
+        if self.escape != Escape::None || self.expect_low.is_some() {
+            self.feed_pending(block, scan, valid_len, prefix_xor);
+        } else if !self.feed_masks(block, scan, 0, valid_len, prefix_xor) {
+            self.walk(&block[..valid_len], start);
         }
     }
 
-    /// Bit-parallel block handler (see `feed_block` for the preconditions).
-    fn feed_fast(
+    /// [`feed_scanned`](Self::feed_scanned) for a block that starts inside
+    /// an escape or a surrogate pair: the DFA walks those bytes first.
+    #[cold]
+    #[inline(never)]
+    fn feed_pending(
         &mut self,
         block: &[u8; BLOCK],
-        bm: &ScanBitmaps,
-        valid: u64,
+        scan: &ScanBitmaps,
         valid_len: usize,
-        start: usize,
+        prefix_xor: impl Fn(u64) -> u64,
     ) {
-        let mut strings = StringState::with_state(self.in_string, false);
-        let (string_mask, _) = strings.step(bm.quote & valid, 0);
-        let string_mask = string_mask & valid;
-        let bad_controls = bm.control & string_mask;
-        if bad_controls != 0 {
-            self.fail(
-                start + bad_controls.trailing_zeros() as usize,
-                InvalidReason::ControlChar,
-            );
-            return;
-        }
-        let openers = bm.openers() & !string_mask & valid;
-        let closers = bm.closers() & !string_mask & valid;
-        let n_close = closers.count_ones() as usize;
-        if self.depth > n_close {
-            // The depth cannot dip to zero anywhere in this block, so the
-            // order of the brackets is irrelevant: popcounts suffice.
-            self.depth += openers.count_ones() as usize;
-            self.depth -= n_close;
-            self.in_string = strings.in_string();
-            return;
-        }
-        // Depth may reach zero mid-block: walk the (sparse) structural bits
-        // in order to find where, then hand the remainder to the scalar
-        // walker for the trailing-garbage check.
-        let mut depth = self.depth;
-        let mut bits = openers | closers;
-        while bits != 0 {
-            let p = bits.trailing_zeros() as usize;
-            let bit = 1u64 << p;
-            bits &= bits - 1;
-            if openers & bit != 0 {
-                depth += 1;
-            } else {
-                depth -= 1;
-                if depth == 0 {
-                    self.depth = 0;
-                    self.root = Root::Done;
-                    self.in_string = false;
-                    self.feed_scalar(&block[p + 1..valid_len], start + p + 1);
-                    return;
-                }
+        let start = self.base - valid_len;
+        let mut from = 0;
+        while from < valid_len && (self.escape != Escape::None || self.expect_low.is_some()) {
+            self.step_byte(block[from], start + from);
+            if self.error.is_some() {
+                return;
             }
+            from += 1;
         }
-        self.depth = depth;
-        self.in_string = strings.in_string();
+        if from < valid_len && !self.feed_masks(block, scan, from, valid_len, prefix_xor) {
+            self.walk(&block[from..valid_len], start + from);
+        }
     }
 
-    /// Byte-at-a-time DFA walk (blocks with escapes, non-ASCII bytes, or
-    /// activity outside the root container).
-    fn feed_scalar(&mut self, bytes: &[u8], start: usize) {
+    /// Checks bytes `from..valid_len` of a block with masks. Returns `true`
+    /// with the state advanced past them when they are clean, or `false`,
+    /// leaving the state untouched, when the DFA must walk them: a flagged
+    /// violation (whose exact offset the DFA finds), a surrogate `\u`
+    /// escape, a backslash outside strings (the DFA ignores it, where the
+    /// odd-backslash trick would escape the next byte), or a bare string or
+    /// primitive root.
+    ///
+    /// Requires no escape or surrogate pair pending at `from`.
+    #[inline(always)]
+    fn feed_masks(
+        &mut self,
+        block: &[u8; BLOCK],
+        scan: &ScanBitmaps,
+        from: usize,
+        valid_len: usize,
+        prefix_xor: impl Fn(u64) -> u64,
+    ) -> bool {
+        let live = mask_below(valid_len as u32) & !mask_below(from as u32);
+        if scan.utf8 & live != 0 || matches!(self.root, Root::Primitive | Root::Str) {
+            return false;
+        }
+        // The decoder state after the block: between code points, unless a
+        // lead byte is among the last three bytes or the block is short.
+        let tail = valid_len.saturating_sub(3).max(from);
+        let tail_high = scan.high & mask_below(valid_len as u32) & !mask_below(tail as u32);
+        let utf8 = if tail_high == 0 && valid_len - from >= 3 {
+            Utf8State::default()
+        } else {
+            match self.utf8_at_end(block, from, valid_len) {
+                Some(state) => state,
+                None => return false,
+            }
+        };
+        // The string mask: the prefix XOR of the quotes no odd backslash
+        // run escapes (the escape carry is clear at `from`).
+        let backslashes = scan.backslash & live;
+        let mut escapes = StringState::new();
+        let escaped = if backslashes == 0 {
+            0
+        } else {
+            escapes.escaped(backslashes)
+        };
+        let entry = if self.in_string { u64::MAX } else { 0 };
+        let in_string = (prefix_xor(scan.quote & live & !escaped) ^ entry) & live;
+        if backslashes & !in_string != 0 || scan.control & in_string != 0 {
+            return false;
+        }
+        let mut escape = Escape::None;
+        if backslashes != 0 {
+            match check_escapes(block, escaped & live, valid_len) {
+                Some(end) => escape = end,
+                None => return false,
+            }
+            let pending_backslash = if valid_len == BLOCK {
+                escapes.pending_escape()
+            } else {
+                escaped >> valid_len & 1 != 0
+            };
+            if pending_backslash {
+                escape = Escape::Backslash;
+            }
+        }
+
+        let outside = live & !in_string;
+        let (mut opens, closes) = (scan.openers() & outside, scan.closers() & outside);
+        let (mut root, mut depth) = (self.root, self.depth);
+        // Bytes that must be whitespace: those after the root value.
+        let mut after_root = 0;
+        if root == Root::NotSeen {
+            let lead = live & !scan.ws;
+            if lead != 0 {
+                let first = lead & lead.wrapping_neg();
+                if opens & first == 0 {
+                    return false;
+                }
+                opens &= !first;
+                root = Root::Container;
+                depth = 1;
+            }
+        }
+        match root {
+            Root::Container => {
+                let n_close = closes.count_ones() as usize;
+                // With more closers than the depth the root may end here;
+                // then the depth is at most 64.
+                let end = (depth <= n_close)
+                    .then(|| find_depth_zero(opens, closes, depth as u32))
+                    .flatten();
+                match end {
+                    Some(p) => {
+                        root = Root::Done;
+                        depth = 0;
+                        after_root = live & !mask_below(p + 1);
+                    }
+                    None => depth = depth + opens.count_ones() as usize - n_close,
+                }
+            }
+            Root::Done => after_root = live,
+            _ => {}
+        }
+        if after_root & !scan.ws != 0 {
+            return false;
+        }
+        self.in_string = root != Root::Done && in_string >> (valid_len - 1) & 1 != 0;
+        self.escape = escape;
+        self.utf8 = utf8;
+        self.root = root;
+        self.depth = depth;
+        true
+    }
+
+    /// The UTF-8 decoder state after byte `valid_len - 1`, for bytes
+    /// `from..valid_len` the UTF-8 flags passed; `None` when a byte there
+    /// is an invalid lead (flagged only on the byte after it).
+    ///
+    /// Only the last sequence can be open, and its lead is among the last
+    /// three bytes: three continuations end a sequence.
+    #[cold]
+    #[inline(never)]
+    fn utf8_at_end(&self, block: &[u8; BLOCK], from: usize, valid_len: usize) -> Option<Utf8State> {
+        let tail = valid_len.saturating_sub(3).max(from);
+        let (mut state, open) = match (tail..valid_len).rev().find(|&i| block[i] >= 0xC0) {
+            Some(lead) => (Utf8State::default(), lead),
+            // Fewer than three bytes from `from`: the sequence open there
+            // may go on.
+            None if valid_len - from < 3 => (self.utf8, from),
+            None => return Some(Utf8State::default()),
+        };
+        block[open..valid_len]
+            .iter()
+            .all(|&b| state.step(b))
+            .then_some(state)
+    }
+
+    /// Byte-at-a-time DFA walk.
+    #[cold]
+    #[inline(never)]
+    fn walk(&mut self, bytes: &[u8], start: usize) {
         for (i, &b) in bytes.iter().enumerate() {
             if self.error.is_some() {
                 return;
@@ -454,21 +676,54 @@ pub fn validate_record(record: &[u8]) -> Option<(usize, InvalidReason)> {
 
 /// [`validate_record`] with an explicit kernel (differential tests).
 pub fn validate_record_with(record: &[u8], kernel: Kernel) -> Option<(usize, InvalidReason)> {
+    fed(record, kernel).finish()
+}
+
+/// A validator fed every block of `record`, up to its end-of-record check.
+fn fed(record: &[u8], kernel: Kernel) -> Validator {
     let mut v = Validator::new(kernel);
-    let mut blocks = simdbits::Blocks::new(record);
-    for block in blocks.by_ref() {
-        v.feed_block(block, BLOCK);
-        if v.error().is_some() {
-            return v.error();
-        }
-    }
-    let tail = blocks.remainder();
-    if !tail.is_empty() {
+    let (blocks, tail) = record.as_chunks::<BLOCK>();
+    v.feed_blocks(blocks);
+    if v.error.is_none() && !tail.is_empty() {
         let mut block = [0u8; BLOCK];
         block[..tail.len()].copy_from_slice(tail);
         v.feed_block(&block, tail.len());
     }
-    v.finish()
+    v
+}
+
+/// Checks the characters escaped in a clean block (`escaped`, each right
+/// after an odd backslash run inside a string) and the hex digits of its
+/// `\u` escapes. Returns the escape state the block ends in (a `\u` whose
+/// digits run past `valid_len`), or `None` when the DFA must walk the block:
+/// a bad escape, a bad hex digit, or a surrogate, whose pairing the DFA
+/// tracks.
+#[inline]
+fn check_escapes(block: &[u8; BLOCK], escaped: u64, valid_len: usize) -> Option<Escape> {
+    let mut bits = escaped;
+    while bits != 0 {
+        let p = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        match block[p] {
+            b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
+            b'u' => {
+                let digits = &block[p + 1..(p + 5).min(valid_len)];
+                let mut acc = 0u32;
+                for &d in digits {
+                    acc = acc << 4 | char::from(d).to_digit(16)?;
+                }
+                if digits.len() < 4 {
+                    // Only hex digits follow: this is the block's last escape.
+                    return Some(Escape::Hex(digits.len() as u8, acc));
+                }
+                if (0xD800..=0xDFFF).contains(&acc) {
+                    return None;
+                }
+            }
+            _ => return None,
+        }
+    }
+    Some(Escape::None)
 }
 
 #[cfg(test)]
@@ -608,8 +863,8 @@ mod tests {
 
     #[test]
     fn depth_zero_mid_block_hands_off_to_scalar() {
-        // Root closes mid-block; garbage after it must still be caught by
-        // the fast path's scalar hand-off.
+        // Root closes mid-block; the garbage after it fails the block's
+        // whitespace mask, and the DFA locates it.
         let mut doc = br#"{"a": [1, 2, 3]}   "#.to_vec();
         doc.extend_from_slice(b"oops");
         let pos = doc.len() - 4;
@@ -621,5 +876,271 @@ mod tests {
         assert_eq!(ValidationMode::Permissive.as_str(), "permissive");
         assert_eq!(ValidationMode::Strict.as_str(), "strict");
         assert_eq!(ValidationMode::default(), ValidationMode::Permissive);
+    }
+    #[test]
+    fn detection_block_gates_error_before() {
+        // A lone high surrogate is reported at its `\` (word 0) but only
+        // detected at the byte breaking the pair (word 1).
+        let mut doc = br#"{"a": ""#.to_vec();
+        doc.resize(58, b'x');
+        doc.extend_from_slice(br#"\uD800x", "b": 1}"#);
+        let backslash = 58;
+        let mut v = fed(&doc, simdbits::best_kernel());
+        assert_eq!(v.error(), Some((backslash, InvalidReason::LoneSurrogate)));
+        assert_eq!(v.error_before(1), None, "detected in word 1, not 0");
+        assert_eq!(
+            v.error_before(2),
+            Some((backslash, InvalidReason::LoneSurrogate))
+        );
+        assert_eq!(v.finish(), v.error());
+        // A plain violation is detected in the block of its offset.
+        let mut doc = vec![b' '; 130];
+        doc[0] = b'[';
+        doc[129] = b']';
+        doc[100] = 0xFF;
+        let v = fed(&doc, simdbits::best_kernel());
+        assert_eq!(v.error_before(1), None);
+        assert_eq!(v.error_before(2), Some((100, InvalidReason::Utf8)));
+    }
+
+    #[test]
+    fn short_blocks_feed_only_their_input() {
+        // Only the valid prefix of a block is input, wherever the block
+        // falls: feeding a document in pieces of every length equals
+        // feeding it whole, on every kernel.
+        for doc in [
+            &b"[\"\xE2\x82\xAC\", \"\\u00e9\"]"[..],
+            b"[\"\xE2\x82A\"]",
+            b"[\"\xF0\x9F\x98\", 1]",
+            b"{\"a\": \"x\\",
+        ] {
+            for k in Kernel::all().iter().copied().filter(|k| k.is_supported()) {
+                let want = validate_record_with(doc, k);
+                for cut in 0..=doc.len() {
+                    let mut v = Validator::new(k);
+                    for piece in [&doc[..cut], &[][..], &doc[cut..]] {
+                        let mut block = [0xFFu8; BLOCK];
+                        block[..piece.len()].copy_from_slice(piece);
+                        v.feed_block(&block, piece.len());
+                    }
+                    assert_eq!(v.finish(), want, "{k:?} cut {cut} {doc:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_cover_escapes_roots_and_utf8_across_edges() {
+        // Escapes and multi-byte characters cut by the block edge at every
+        // offset, inside a container root with whitespace around it.
+        for pad in 0..70 {
+            for piece in [
+                &br#"\u00e9"#[..],
+                br#"\uD83D\uDE00"#,
+                br#"\\\""#,
+                "\u{1F600}\u{20AC}".as_bytes(),
+            ] {
+                let mut doc = format!("  {{\"k\": \"{}", "x".repeat(pad)).into_bytes();
+                doc.extend_from_slice(piece);
+                doc.extend_from_slice(b"\", \"n\": [1, {}]}  \n");
+                assert_eq!(check(&doc), None, "pad {pad} piece {piece:?}");
+            }
+        }
+    }
+}
+
+/// The bit-parallel validator against the DFA alone, on every kernel.
+#[cfg(test)]
+mod differential {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// The DFA walking every byte, block by block: the verdict and the
+    /// block in which it was detected.
+    fn dfa_walk(record: &[u8]) -> (Option<(usize, InvalidReason)>, usize) {
+        let mut v = Validator::new(Kernel::Scalar);
+        for chunk in record.chunks(BLOCK) {
+            let start = v.base;
+            v.base += chunk.len();
+            v.walk(chunk, start);
+            if v.error.is_some() {
+                break;
+            }
+        }
+        (v.finish(), v.detected)
+    }
+
+    /// One of `pieces`, uniformly.
+    fn bytes(pieces: &[&[u8]]) -> BoxedStrategy<Vec<u8>> {
+        let pieces: Vec<Vec<u8>> = pieces.iter().map(|p| p.to_vec()).collect();
+        (0..pieces.len()).prop_map(move |i| pieces[i].clone())
+    }
+
+    /// A piece of string content: text, characters and escapes, valid or
+    /// not, and control bytes.
+    fn string_piece() -> BoxedStrategy<Vec<u8>> {
+        let valid_utf8 = bytes(&[
+            "\u{E9}".as_bytes(),
+            "\u{7FF}".as_bytes(),
+            "\u{800}".as_bytes(),
+            "\u{20AC}".as_bytes(),
+            "\u{FFFF}".as_bytes(),
+            "\u{10000}".as_bytes(),
+            "\u{1F600}".as_bytes(),
+            "\u{10FFFF}".as_bytes(),
+        ]);
+        let invalid_utf8 = bytes(&[
+            // Overlong.
+            b"\xC0\xAF",
+            b"\xC1\xBF",
+            b"\xE0\x80\xAF",
+            b"\xE0\x9F\xBF",
+            b"\xF0\x80\x80\xAF",
+            b"\xF0\x8F\xBF\xBF",
+            // Surrogate code points.
+            b"\xED\xA0\x80",
+            b"\xED\xBF\xBF",
+            // Above U+10FFFF.
+            b"\xF4\x90\x80\x80",
+            b"\xF5\x80\x80\x80",
+            b"\xF8\x88\x80\x80",
+            b"\xFE",
+            b"\xFF",
+            // Stray continuation.
+            b"\x80",
+            b"\xBF",
+            b"\xC3\xA9\xA9",
+            // Missing continuation.
+            b"\xC3",
+            b"\xE2\x82",
+            b"\xF0\x9F\x98",
+        ]);
+        let escapes = bytes(&[
+            br#"\n"#,
+            br#"\""#,
+            br#"\\"#,
+            br#"\/"#,
+            br#"\b\f\r\t"#,
+            br#"\u00e9"#,
+            br#"\u0041"#,
+            br#"\uFFFF"#,
+            br#"\uD83D\uDE00"#,
+            br#"\udbff\udfff"#,
+            br#"\\\\\""#,
+        ]);
+        let bad_escapes = bytes(&[
+            br#"\q"#,
+            br#"\'"#,
+            b"\\\x01",
+            b"\\\xC3\xA9",
+            br#"\u12G4"#,
+            br#"\u12"#,
+            br#"\uZZZZ"#,
+            br#"\u"#,
+            br#"\uD800"#,
+            br#"\uDC00"#,
+            br#"\uD800\n"#,
+            br#"\uD800\u0041"#,
+            br#"\uD800\uD800"#,
+            br#"\uDFFF\uD800"#,
+            br#"\uD800x"#,
+        ]);
+        let controls = bytes(&[b"\x00", b"\x01", b"\x1F", b"\n", b"\t", b"\x7F"]);
+        prop_oneof![
+            6 => "[a-z {}\\[\\]:,]{0,16}".prop_map(String::into_bytes),
+            2 => valid_utf8,
+            1 => invalid_utf8,
+            2 => escapes,
+            1 => bad_escapes,
+            1 => controls,
+            1 => prop::collection::vec(any::<u8>(), 0..4),
+        ]
+        .boxed()
+    }
+
+    fn string() -> BoxedStrategy<Vec<u8>> {
+        prop::collection::vec(string_piece(), 0..6)
+            .prop_map(|pieces| {
+                let mut s = b"\"".to_vec();
+                s.extend(pieces.concat());
+                s.push(b'"');
+                s
+            })
+            .boxed()
+    }
+
+    fn array(inner: BoxedStrategy<Vec<u8>>) -> BoxedStrategy<Vec<u8>> {
+        prop::collection::vec(inner, 0..5)
+            .prop_map(|vs| [&b"["[..], &vs.join(&b", "[..]), b"]"].concat())
+    }
+
+    fn object(inner: BoxedStrategy<Vec<u8>>) -> BoxedStrategy<Vec<u8>> {
+        prop::collection::vec((string(), inner), 0..5).prop_map(|fields| {
+            let fields: Vec<Vec<u8>> = fields
+                .into_iter()
+                .map(|(k, v)| [k, b": ".to_vec(), v].concat())
+                .collect();
+            [&b"{"[..], &fields.join(&b",\n"[..]), b"}"].concat()
+        })
+    }
+
+    fn value() -> BoxedStrategy<Vec<u8>> {
+        let leaf = prop_oneof![
+            3 => string(),
+            1 => bytes(&[b"1", b"-2.5e3", b"true", b"null"]),
+        ];
+        leaf.prop_recursive(3, 48, 5, |inner| {
+            prop_oneof![array(inner.clone()), object(inner)]
+        })
+    }
+
+    /// A record: whitespace shifting the root across the 64-byte grid, a
+    /// container, string or primitive root (or none), and whitespace or
+    /// garbage after it.
+    fn record() -> BoxedStrategy<Vec<u8>> {
+        let root = prop_oneof![
+            2 => array(value()),
+            2 => object(value()),
+            1 => string(),
+            1 => bytes(&[b"42", b"true", b"nul\x01l", b"1}", b"2:", b"-"]),
+            1 => Just(Vec::new()),
+        ];
+        let after = bytes(&[
+            b"", b"  \n", b"\t\r ", b" x", b"}", b"]", b" {}", b"\"s\"", b" \xFF",
+        ]);
+        (0usize..130, root, after)
+            .prop_map(|(pad, root, after)| {
+                let ws = [b' ', b'\n', b'\t', b'\r'];
+                let mut doc: Vec<u8> = (0..pad).map(|i| ws[i % 4]).collect();
+                doc.extend(root);
+                doc.extend(after);
+                doc
+            })
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 256 }))]
+
+        #[test]
+        fn masks_match_the_dfa_at_every_length(doc in record()) {
+            let kernels: Vec<Kernel> =
+                Kernel::all().iter().copied().filter(|k| k.is_supported()).collect();
+            // Every prefix: each case truncated at every length.
+            let step = if cfg!(miri) { 29 } else { 1 };
+            for len in (0..=doc.len()).step_by(step) {
+                let prefix = &doc[..len];
+                let want = dfa_walk(prefix);
+                for &k in &kernels {
+                    let mut v = fed(prefix, k);
+                    let got = (v.finish(), v.detected);
+                    prop_assert_eq!(
+                        got, want,
+                        "kernel {:?}, {:?}", k, String::from_utf8_lossy(prefix)
+                    );
+                }
+            }
+        }
     }
 }

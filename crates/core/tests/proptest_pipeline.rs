@@ -260,6 +260,112 @@ fn run_pipeline(
     (sink, result, metrics.snapshot())
 }
 
+/// The `max_matches(n)` property for one draw. The model is a serial loop
+/// that stops each record's scan at the run's remaining room, so a record
+/// that fails only after the n-th match counts as stopped there, not as
+/// failed. An uncapped serial count cross-checks the model: it lets every
+/// record run to its end or its error, and a record that fails counts the
+/// matches it delivered first when they fill the run (under either
+/// policy), and nothing otherwise.
+fn check_capped_prefix(
+    records: &[Vec<u8>],
+    q: &str,
+    n: usize,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let engine = JsonSki::compile(q).unwrap();
+    for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
+        let mut expect: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut expect_ok = true;
+        for (idx, r) in records.iter().enumerate() {
+            if expect.len() == n {
+                break;
+            }
+            let room = n - expect.len();
+            let mut got = Vec::new();
+            let result = engine.stream(r, |m| {
+                got.push((idx as u64, m.bytes().to_vec()));
+                if got.len() == room {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            match result {
+                Ok(_) => expect.extend(got),
+                Err(_) if policy == ErrorPolicy::SkipMalformed => {}
+                Err(_) => {
+                    expect_ok = false;
+                    break;
+                }
+            }
+        }
+        let (mut total, mut total_ok) = (0usize, true);
+        for r in records {
+            if total >= n {
+                break;
+            }
+            let mut seen = 0usize;
+            match engine.stream(r, |_| {
+                seen += 1;
+                ControlFlow::Continue(())
+            }) {
+                Ok(_) => total += seen,
+                Err(_) if total + seen >= n => total = n,
+                Err(_) if policy == ErrorPolicy::SkipMalformed => {}
+                Err(_) => {
+                    total_ok = false;
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(
+            expect.len(),
+            total.min(n),
+            "q={} n={} policy={:?}",
+            q,
+            n,
+            policy
+        );
+        prop_assert_eq!(expect_ok, total_ok, "q={} n={} policy={:?}", q, n, policy);
+        for jobs in [1usize, 2, 8] {
+            let mut source = OwnedRecords {
+                records: records.to_vec(),
+                next: 0,
+            };
+            let mut sink = Recorder::default();
+            let result = Pipeline::new()
+                .workers(jobs)
+                .error_policy(policy)
+                .max_matches(n)
+                .run(&engine, &mut source, &mut sink);
+            prop_assert_eq!(
+                &sink.matches(),
+                &expect,
+                "q={} n={} jobs={} policy={:?}",
+                q,
+                n,
+                jobs,
+                policy
+            );
+            prop_assert_eq!(result.is_ok(), expect_ok, "q={} n={} jobs={}", q, n, jobs);
+            if let Ok(summary) = result {
+                prop_assert_eq!(summary.matches, expect.len());
+                prop_assert_eq!(summary.stopped, expect.len() == n);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The draw that showed the old cross-check wrong: the first record fails
+/// only after the cap's two matches, so the capped run delivers them while
+/// an uncapped run skips the whole record.
+#[test]
+fn max_matches_counts_a_record_failing_past_the_cap() {
+    let records = vec![br#"{"a": [4, 5, 6, 7}"#.to_vec(), br#"{"a": [8]}"#.to_vec()];
+    check_capped_prefix(&records, "$.a[*]", 2).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -330,61 +436,10 @@ proptest! {
 
     // `max_matches(n)` delivers exactly `min(n, total)` matches, the
     // first ones of the stream in order, for every worker count and both
-    // error policies. The model is a serial loop that stops each record's
-    // scan at the run's remaining room, so a record that fails only after
-    // the n-th match counts as stopped there, not as failed.
+    // error policies (see `check_capped_prefix`).
     #[test]
     fn max_matches_delivers_the_capped_prefix(records in batch(), q in query(), n in 1usize..12) {
-        let engine = JsonSki::compile(&q).unwrap();
-        for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
-            let mut expect: Vec<(u64, Vec<u8>)> = Vec::new();
-            let mut expect_ok = true;
-            for (idx, r) in records.iter().enumerate() {
-                if expect.len() == n {
-                    break;
-                }
-                let room = n - expect.len();
-                let mut got = Vec::new();
-                let result = engine.stream(r, |m| {
-                    got.push((idx as u64, m.bytes().to_vec()));
-                    if got.len() == room {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                match result {
-                    Ok(_) => expect.extend(got),
-                    Err(_) if policy == ErrorPolicy::SkipMalformed => {}
-                    Err(_) => {
-                        expect_ok = false;
-                        break;
-                    }
-                }
-            }
-            let (uncapped, uncapped_result, _) = run(&engine, &records, 1, policy);
-            if uncapped_result.is_ok() {
-                prop_assert_eq!(expect.len(), n.min(uncapped.matches().len()));
-            }
-            for jobs in [1usize, 2, 8] {
-                let mut source = OwnedRecords { records: records.clone(), next: 0 };
-                let mut sink = Recorder::default();
-                let result = Pipeline::new()
-                    .workers(jobs)
-                    .error_policy(policy)
-                    .max_matches(n)
-                    .run(&engine, &mut source, &mut sink);
-                prop_assert_eq!(
-                    &sink.matches(), &expect,
-                    "q={} n={} jobs={} policy={:?}", q, n, jobs, policy
-                );
-                prop_assert_eq!(result.is_ok(), expect_ok, "q={} n={} jobs={}", q, n, jobs);
-                if let Ok(summary) = result {
-                    prop_assert_eq!(summary.matches, expect.len());
-                    prop_assert_eq!(summary.stopped, expect.len() == n);
-                }
-            }
-        }
+        check_capped_prefix(&records, &q, n)?;
     }
 
     // Summary accounting must not drift across checkpoints: splitting a

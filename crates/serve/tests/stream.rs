@@ -8,7 +8,7 @@
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use jsonski::faults::{FaultPlan, FaultyConn};
@@ -248,11 +248,18 @@ fn reader_dying_mid_chunk_harms_only_itself() {
     let query = "$.items[*].price";
     let reference = Arc::new(serial_reference(query, &body));
     let stop = Arc::new(AtomicUsize::new(0));
+    // Exact healthy responses completed so far, by either client, with a
+    // condition variable signalled on each.
+    let completed = Arc::new((Mutex::new(0usize), Condvar::new()));
     let mut healthy = Vec::new();
     for t in 0..2 {
         let addr = addr.clone();
-        let (body, reference, stop) =
-            (Arc::clone(&body), Arc::clone(&reference), Arc::clone(&stop));
+        let (body, reference, stop, completed) = (
+            Arc::clone(&body),
+            Arc::clone(&reference),
+            Arc::clone(&stop),
+            Arc::clone(&completed),
+        );
         healthy.push(std::thread::spawn(move || {
             let mut n = 0u64;
             while stop.load(Ordering::SeqCst) == 0 {
@@ -265,8 +272,10 @@ fn reader_dying_mid_chunk_harms_only_itself() {
                 assert_eq!(resp.code, 200, "{:?}", resp.reason);
                 assert_eq!(*resp.body, *reference, "healthy stream corrupted");
                 n += 1;
+                let (count, done) = &*completed;
+                *count.lock().unwrap() += 1;
+                done.notify_all();
             }
-            n
         }));
     }
     // Saboteurs: request a large stream, read only the header frame,
@@ -296,14 +305,24 @@ fn reader_dying_mid_chunk_harms_only_itself() {
         assert!(resp.stream, "large response must stream");
         drop(stream); // die mid-chunk
     }
-    // Healthy clients must still be making progress after the carnage.
-    std::thread::sleep(Duration::from_millis(300));
+    // Healthy clients must still be making progress after the carnage:
+    // wait until one more of their responses completes.
+    let (count, done) = &*completed;
+    let after_carnage = *count.lock().unwrap();
+    let progress = {
+        let deadline = Duration::from_secs(60);
+        let waited =
+            done.wait_timeout_while(count.lock().unwrap(), deadline, |n| *n <= after_carnage);
+        *waited.unwrap().0
+    };
     stop.store(1, Ordering::SeqCst);
-    let mut completed = 0;
     for h in healthy {
-        completed += h.join().unwrap();
+        h.join().unwrap();
     }
-    assert!(completed > 0, "healthy clients must have made progress");
+    assert!(
+        progress > after_carnage,
+        "healthy clients must make progress after the carnage"
+    );
     token.cancel();
     handle.join().unwrap().unwrap();
 }

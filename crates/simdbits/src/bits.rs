@@ -2,6 +2,9 @@
 //! algorithms (paper Algorithm 3 and the counting-based pairing strategy of
 //! Section 4.2).
 
+#[cfg(target_arch = "x86_64")]
+pub use crate::kernels::clmul_prefix_xor;
+
 /// Computes the prefix XOR (cumulative XOR, inclusive) of all bits in `x`.
 ///
 /// Given a bitmap of unescaped quotes, the prefix XOR yields the in-string

@@ -376,7 +376,7 @@ pub(crate) unsafe fn classify_avx512(block: &[u8; BLOCK]) -> RawBitmaps {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "pclmulqdq")]
 #[inline]
-pub(crate) unsafe fn clmul_prefix_xor(x: u64) -> u64 {
+pub unsafe fn clmul_prefix_xor(x: u64) -> u64 {
     use std::arch::x86_64::*;
     let v = _mm_set_epi64x(0, x as i64);
     let ones = _mm_set1_epi8(-1);

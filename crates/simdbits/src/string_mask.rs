@@ -73,7 +73,7 @@ impl StringState {
         backslashes: u64,
         prefix_xor: impl Fn(u64) -> u64,
     ) -> (u64, u64) {
-        let escaped = self.find_escaped(backslashes);
+        let escaped = self.escaped(backslashes);
         let real_quotes = quotes & !escaped;
         let in_string = prefix_xor(real_quotes) ^ self.prev_in_string;
         // Sign-extend the top bit: all-ones if still inside a string.
@@ -82,12 +82,14 @@ impl StringState {
     }
 
     /// Bitmap of characters escaped by an odd-length backslash run
-    /// (the character *after* the run), with cross-block carry.
+    /// (the character *after* the run), with cross-block carry. Advances
+    /// only the escape carry: [`step`](Self::step) calls it, and a reader
+    /// that tracks the string state itself may call it alone.
     ///
     /// This is the branch-structured algorithm from "Parsing Gigabytes of
     /// JSON per Second" (Langdale & Lemire), ported bit-for-bit.
     #[inline(always)]
-    fn find_escaped(&mut self, backslashes: u64) -> u64 {
+    pub fn escaped(&mut self, backslashes: u64) -> u64 {
         let bs = backslashes;
         // Start-of-run edges (a backslash not preceded by one), adjusted for
         // a run continuing from the previous block.

@@ -3,7 +3,7 @@
 //! arbitrary inputs (including pathological backslash runs).
 
 use proptest::prelude::*;
-use simdbits::scan::{scan_block, scan_scalar};
+use simdbits::scan::{scan_block, scan_many, scan_scalar, ScanBitmaps, ScanCarry};
 use simdbits::{bits, BlockBitmaps, Classifier, Kernel, PaddedBlocks, BLOCK};
 
 /// Arbitrary bytes biased towards JSON metacharacters, quotes, and
@@ -23,6 +23,20 @@ fn spicy_bytes(max_len: usize) -> BoxedStrategy<Vec<u8>> {
         ],
         0..max_len,
     )
+    .boxed()
+}
+
+/// UTF-8 text, mostly valid: ASCII, 2-, 3- and 4-byte characters, and now
+/// and then a byte that breaks a sequence.
+fn utf8_piece() -> BoxedStrategy<Vec<u8>> {
+    prop_oneof![
+        4 => Just(b"a".to_vec()),
+        2 => Just("\u{E9}".as_bytes().to_vec()),
+        2 => Just("\u{20AC}".as_bytes().to_vec()),
+        2 => Just("\u{1F600}".as_bytes().to_vec()),
+        1 => Just("\u{10FFFF}".as_bytes().to_vec()),
+        1 => prop::num::u8::ANY.prop_map(|b| vec![b]),
+    ]
     .boxed()
 }
 
@@ -207,6 +221,45 @@ proptest! {
             prop_assert_eq!(&got, &want, "kernel {:?}", k);
             prop_assert_eq!(many.in_string(), one.in_string(), "kernel {:?}", k);
         }
+    }
+
+    // Batched scans equal the scalar reference one block at a time, with
+    // the UTF-8 lookback carried across every batch edge; and on a stream
+    // that ends on a complete character, some byte is flagged exactly when
+    // the standard library rejects the stream.
+    #[test]
+    fn scan_many_equals_scalar_blocks_and_flags_invalid_utf8(
+        pieces in prop::collection::vec(utf8_piece(), 0..120),
+        batch in 1usize..=16,
+    ) {
+        let mut input = pieces.concat();
+        input.push(b' ');
+        input.resize(input.len().next_multiple_of(BLOCK), b' ');
+        let (blocks, _) = input.as_chunks::<BLOCK>();
+        let mut carry = ScanCarry::default();
+        let want: Vec<ScanBitmaps> = blocks
+            .iter()
+            .map(|b| {
+                let mut out = [ScanBitmaps::default()];
+                scan_many(Kernel::Scalar, std::slice::from_ref(b), &mut carry, &mut out);
+                out[0]
+            })
+            .collect();
+        for &k in Kernel::all() {
+            if !k.is_supported() {
+                continue;
+            }
+            let mut carry = ScanCarry::default();
+            let mut got = Vec::new();
+            for chunk in blocks.chunks(batch) {
+                let mut out = vec![ScanBitmaps::default(); chunk.len()];
+                scan_many(k, chunk, &mut carry, &mut out);
+                got.extend(out);
+            }
+            prop_assert_eq!(&got, &want, "kernel {:?}", k);
+        }
+        let flagged = want.iter().any(|bm| bm.utf8 != 0);
+        prop_assert_eq!(flagged, std::str::from_utf8(&input).is_err());
     }
 
     #[test]
