@@ -8,6 +8,7 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use jsonski::metrics::render_pairs;
 use jsonski::{
     digest_parts, fingerprint, CancellationToken, Checkpoint, CheckpointCadence, ChunkedRecords,
     CountSink, EngineConfig, EngineError, ErrorPolicy, JsonSki, Kernel, Metrics, MetricsSnapshot,
@@ -652,43 +653,41 @@ fn json_escape(s: &str) -> String {
 
 /// Renders the `--metrics` report: one entry per individually-measured
 /// query (may be empty on streamed multi-query input, where records cannot
-/// be replayed) plus the aggregate counters of the live run.
+/// be replayed) plus the aggregate counters of the live run. Text is one
+/// `metrics[...]:` header per entry over its indented `engine_<name>
+/// <value>` lines; JSON is one compact object of the same counters.
 fn render_metrics(
     mode: MetricsMode,
     per_query: &[(String, MetricsSnapshot)],
     aggregate: &MetricsSnapshot,
 ) -> String {
-    match mode {
-        MetricsMode::Text => {
-            let mut s = String::new();
-            for (q, snap) in per_query {
-                s.push_str(&format!("metrics[{q}]:\n"));
-                for line in snap.to_string().lines() {
-                    s.push_str(&format!("  {line}\n"));
-                }
-            }
-            s.push_str("metrics[aggregate]:\n");
-            for line in aggregate.to_string().lines() {
-                s.push_str(&format!("  {line}\n"));
-            }
-            s
+    let mut s = String::new();
+    if mode == MetricsMode::Text {
+        let entries = per_query.iter().map(|(q, snap)| (q.as_str(), snap));
+        for (q, snap) in entries.chain([("aggregate", aggregate)]) {
+            s.push_str(&format!("metrics[{q}]:\n"));
+            let _ = render_pairs(&mut s, &snap.pairs(), Some("  engine_"));
         }
-        MetricsMode::Json => {
-            let mut s = String::from("{\"queries\":[");
-            for (i, (q, snap)) in per_query.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"query\":\"{}\",\"metrics\":{}}}",
-                    json_escape(q),
-                    snap.to_json()
-                ));
-            }
-            s.push_str(&format!("],\"aggregate\":{}}}", aggregate.to_json()));
-            s
-        }
+        return s;
     }
+    let queries: Vec<String> = per_query
+        .iter()
+        .map(|(q, snap)| {
+            let entry = [
+                ("query", format!("\"{}\"", json_escape(q))),
+                ("metrics", snap.to_json()),
+            ];
+            let mut object = String::new();
+            let _ = render_pairs(&mut object, &entry, None);
+            object
+        })
+        .collect();
+    let report = [
+        ("queries", format!("[{}]", queries.join(","))),
+        ("aggregate", aggregate.to_json()),
+    ];
+    let _ = render_pairs(&mut s, &report, None);
+    s
 }
 
 fn emit_metrics(

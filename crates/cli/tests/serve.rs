@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use jsonski::JsonSki;
 use jsonski_serve::Client;
@@ -168,9 +168,17 @@ fn draining_server_rejects_new_queries_with_503() {
     // gate rejects it too.
     wait_admitted(&addr, 1);
     sigterm(&child);
-    std::thread::sleep(Duration::from_millis(50));
     // New query on the surviving connection: typed 503, not a hang or cut.
-    match probe.query("late", "t", "$.id", None, b"{\"id\": 1}\n") {
+    // Until the server has handled the signal the probe is still answered
+    // 200, so probe again while it is.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let answer = loop {
+        match probe.query("late", "t", "$.id", None, b"{\"id\": 1}\n") {
+            Ok(resp) if resp.code == 200 && Instant::now() < deadline => continue,
+            answer => break answer,
+        }
+    };
+    match answer {
         Ok(resp) => {
             assert_eq!(resp.code, 503, "{:?}", resp.reason);
             assert_eq!(resp.reason.as_deref(), Some("server is draining"));

@@ -199,23 +199,25 @@ pub fn index_path_for(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{:016x}.jskidx", fingerprint(name.as_bytes())))
 }
 
-/// Lock-free counters for index-cache outcomes; shared by reference
-/// between the serving path and the metrics scrape.
-#[derive(Debug, Default)]
-pub struct IndexStats {
-    /// Requests answered from a valid index (classification skipped).
-    pub hits: AtomicU64,
-    /// Requests with no index file yet.
-    pub misses: AtomicU64,
-    /// Requests whose index was stale or config-mismatched.
-    pub stale: AtomicU64,
-    /// Requests whose index file was damaged (magic, checksum, truncation,
-    /// structural inconsistency, or I/O failure).
-    pub corrupt_fallback: AtomicU64,
-    /// Background index (re)builds scheduled.
-    pub rebuilds: AtomicU64,
-    /// Input bytes whose classification was skipped thanks to index hits.
-    pub skipped_bytes: AtomicU64,
+crate::metric_struct! {
+    /// Lock-free counters for index-cache outcomes; shared by reference
+    /// between the serving path and the metrics scrape.
+    #[derive(Debug, Default)]
+    pub struct IndexStats {
+        /// Requests answered from a valid index (classification skipped).
+        pub hits: AtomicU64 => "index_hit",
+        /// Requests with no index file yet.
+        pub misses: AtomicU64 => "index_miss",
+        /// Requests whose index was stale or config-mismatched.
+        pub stale: AtomicU64 => "index_stale",
+        /// Requests whose index file was damaged (magic, checksum, truncation,
+        /// structural inconsistency, or I/O failure).
+        pub corrupt_fallback: AtomicU64 => "index_corrupt_fallback",
+        /// Background index (re)builds scheduled.
+        pub rebuilds: AtomicU64 => "index_rebuilds",
+        /// Input bytes whose classification was skipped thanks to index hits.
+        pub skipped_bytes: AtomicU64 => "index_skipped_classification_bytes",
+    }
 }
 
 impl IndexStats {
@@ -234,25 +236,6 @@ impl IndexStats {
             _ => &self.corrupt_fallback,
         }
         .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot as `(name, value)` pairs in render order, named for the
-    /// metrics scrape (`index_hit`, `index_miss`, …).
-    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("index_hit", self.hits.load(Ordering::Relaxed)),
-            ("index_miss", self.misses.load(Ordering::Relaxed)),
-            ("index_stale", self.stale.load(Ordering::Relaxed)),
-            (
-                "index_corrupt_fallback",
-                self.corrupt_fallback.load(Ordering::Relaxed),
-            ),
-            ("index_rebuilds", self.rebuilds.load(Ordering::Relaxed)),
-            (
-                "index_skipped_classification_bytes",
-                self.skipped_bytes.load(Ordering::Relaxed),
-            ),
-        ]
     }
 }
 

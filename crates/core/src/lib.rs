@@ -97,3 +97,64 @@ pub use simdbits::{best_kernel, Kernel};
 
 // Re-export the query types so downstream users need only this crate.
 pub use jsonpath::{ExpectedType, ParsePathError, Path, Step};
+
+/// A scrape value read as `u64`: an atomic counter, a plain size, or a
+/// locked map's entry count.
+#[doc(hidden)]
+pub trait Gauge {
+    /// The current value.
+    fn read(&self) -> u64;
+}
+
+impl Gauge for std::sync::atomic::AtomicU64 {
+    fn read(&self) -> u64 {
+        self.load(std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+impl Gauge for usize {
+    fn read(&self) -> u64 {
+        *self as u64
+    }
+}
+
+/// A locked map reads as its entry count (through a poisoned lock too: a
+/// count is safe to read whatever the holder left half done).
+impl<K, V, S> Gauge for std::sync::Mutex<std::collections::HashMap<K, V, S>> {
+    fn read(&self) -> u64 {
+        let map = self
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        map.len() as u64
+    }
+}
+
+/// Declares a struct whose fields marked `=> "name"` are exported
+/// metrics, and its `pairs()`: every marked field's name and current
+/// value, in declaration order, as [`metrics::render_pairs`] takes them.
+/// Marked fields are `AtomicU64` counters, `usize` settings or locked
+/// maps (their entry count). The engine registry's table is in
+/// [`metrics`].
+#[doc(hidden)]
+#[macro_export]
+macro_rules! metric_struct {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $Name:ident {
+            $( $(#[$fattr:meta])* $fvis:vis $field:ident: $ty:ty $(=> $metric:literal)?, )*
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $Name {
+            $( $(#[$fattr])* $fvis $field: $ty, )*
+        }
+
+        impl $Name {
+            /// Snapshot as `(name, value)` pairs in render order, named
+            /// for the metrics scrape.
+            pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+                vec![$($(($metric, $crate::Gauge::read(&self.$field)),)?)*]
+            }
+        }
+    };
+}

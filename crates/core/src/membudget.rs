@@ -71,32 +71,34 @@ struct Inner {
     tenants: HashMap<String, usize>,
 }
 
-/// A global tracked-memory ledger with per-tenant shares. Cheap to share
-/// (`Arc`); all mutation goes through [`try_reserve`](MemBudget::try_reserve)
-/// and permit drops.
-pub struct MemBudget {
-    /// Global budget in bytes; 0 = unlimited (track, never refuse).
-    total: usize,
-    /// Per-tenant cap in bytes; 0 = no per-tenant cap.
-    tenant_cap: usize,
-    inner: Mutex<Inner>,
-    /// Mirrors `inner.used` for lock-free scrapes.
-    used_gauge: AtomicU64,
-    /// High-water mark of `inner.used` over the ledger's lifetime.
-    peak_gauge: AtomicU64,
-    /// Reservations refused by the global budget.
-    pub denied_global: AtomicU64,
-    /// Reservations refused by a tenant cap.
-    pub denied_tenant: AtomicU64,
-    /// Entries evicted (caches, resident indexes) to relieve pressure.
-    /// Bumped by whoever runs the eviction, not by the ledger itself.
-    pub evictions: AtomicU64,
-    /// Responses switched from materialized to chunked-streaming delivery
-    /// under pressure. Bumped by the server.
-    pub forced_streams: AtomicU64,
-    /// Corpora evaluated by streaming records from disk because their
-    /// bytes could not be reserved resident. Bumped by the server.
-    pub stream_fallbacks: AtomicU64,
+crate::metric_struct! {
+    /// A global tracked-memory ledger with per-tenant shares. Cheap to share
+    /// (`Arc`); all mutation goes through [`try_reserve`](MemBudget::try_reserve)
+    /// and permit drops. Its `pairs()` are the scrape's `mem_*` gauges.
+    pub struct MemBudget {
+        /// Global budget in bytes; 0 = unlimited (track, never refuse).
+        total: usize => "mem_budget_bytes",
+        /// Per-tenant cap in bytes; 0 = no per-tenant cap.
+        tenant_cap: usize => "mem_tenant_cap_bytes",
+        inner: Mutex<Inner>,
+        /// Mirrors `inner.used` for lock-free scrapes.
+        used_gauge: AtomicU64 => "mem_used_bytes",
+        /// High-water mark of `inner.used` over the ledger's lifetime.
+        peak_gauge: AtomicU64 => "mem_peak_bytes",
+        /// Reservations refused by the global budget.
+        pub denied_global: AtomicU64 => "mem_denied_global",
+        /// Reservations refused by a tenant cap.
+        pub denied_tenant: AtomicU64 => "mem_denied_tenant",
+        /// Entries evicted (caches, resident indexes) to relieve pressure.
+        /// Bumped by whoever runs the eviction, not by the ledger itself.
+        pub evictions: AtomicU64 => "mem_evictions",
+        /// Responses switched from materialized to chunked-streaming delivery
+        /// under pressure. Bumped by the server.
+        pub forced_streams: AtomicU64 => "mem_forced_streams",
+        /// Corpora evaluated by streaming records from disk because their
+        /// bytes could not be reserved resident. Bumped by the server.
+        pub stream_fallbacks: AtomicU64 => "mem_corpus_stream_fallbacks",
+    }
 }
 
 impl std::fmt::Debug for MemBudget {
@@ -241,34 +243,6 @@ impl MemBudget {
         let used = inner.used as u64;
         drop(inner);
         self.used_gauge.store(used, Ordering::Relaxed);
-    }
-
-    /// Snapshot as `(name, value)` pairs in render order, named for the
-    /// metrics scrape (`mem_used_bytes`, `mem_peak_bytes`, …).
-    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("mem_budget_bytes", self.total as u64),
-            ("mem_tenant_cap_bytes", self.tenant_cap as u64),
-            ("mem_used_bytes", self.used_gauge.load(Ordering::Relaxed)),
-            ("mem_peak_bytes", self.peak_gauge.load(Ordering::Relaxed)),
-            (
-                "mem_denied_global",
-                self.denied_global.load(Ordering::Relaxed),
-            ),
-            (
-                "mem_denied_tenant",
-                self.denied_tenant.load(Ordering::Relaxed),
-            ),
-            ("mem_evictions", self.evictions.load(Ordering::Relaxed)),
-            (
-                "mem_forced_streams",
-                self.forced_streams.load(Ordering::Relaxed),
-            ),
-            (
-                "mem_corpus_stream_fallbacks",
-                self.stream_fallbacks.load(Ordering::Relaxed),
-            ),
-        ]
     }
 }
 

@@ -32,8 +32,15 @@
 //! Reading the registry produces a plain-data [`MetricsSnapshot`]; two
 //! snapshots [`diff`](MetricsSnapshot::diff) into the activity between
 //! them, which is how per-query or per-phase numbers are carved out of a
-//! shared registry. Snapshots render as human text ([`fmt::Display`]) or
-//! dependency-free JSON ([`MetricsSnapshot::to_json`]).
+//! shared registry.
+//!
+//! Each engine counter is declared once, in the `engine_counters!` table
+//! below (doc, name, and kind: a `u64` scalar, a per-group or per-worker
+//! array, or a [`HistogramSnapshot`]); the registry's fields, `snapshot`,
+//! the snapshot's fields, `diff` and [`pairs`](MetricsSnapshot::pairs) are
+//! generated from it. [`render_pairs`] is the one renderer of every text
+//! and JSON form: `engine_<name> <value>` lines ([`fmt::Display`]) or one
+//! compact object ([`MetricsSnapshot::to_json`]), same names, same order.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -89,11 +96,9 @@ impl AtomicHistogram {
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(&self.buckets) {
-            *out = b.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            buckets: Kind::load(&self.buckets),
         }
-        HistogramSnapshot { buckets }
     }
 }
 
@@ -116,11 +121,9 @@ impl HistogramSnapshot {
     /// The activity between an `earlier` snapshot and `self`, bucketwise
     /// (saturating, so a reset registry yields zeros rather than wrapping).
     pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (i, out) in buckets.iter_mut().enumerate() {
-            *out = self.buckets[i].saturating_sub(earlier.buckets[i]);
+        HistogramSnapshot {
+            buckets: Kind::diff(&self.buckets, &earlier.buckets),
         }
-        HistogramSnapshot { buckets }
     }
 
     /// The inclusive lower bound of bucket `i`'s value range.
@@ -129,11 +132,6 @@ impl HistogramSnapshot {
             0 => 0,
             _ => 1u64 << (i - 1),
         }
-    }
-
-    fn to_json(self) -> String {
-        let items: Vec<String> = self.buckets.iter().map(u64::to_string).collect();
-        format!("[{}]", items.join(","))
     }
 }
 
@@ -176,51 +174,215 @@ impl Stopwatch {
     }
 }
 
-/// The engine-wide metrics registry; see the [module docs](self).
-///
-/// Create one with [`Metrics::new`] (recording) or [`Metrics::disabled`]
-/// (every method is a cheap early-out), share it by reference or `Arc`,
-/// and read it with [`Metrics::snapshot`].
-#[derive(Debug)]
-pub struct Metrics {
-    enabled: bool,
+/// Writes `(name, value)` pairs as one `{prefix}{name} {value}` line each
+/// (`text_prefix` given) or as one compact JSON object
+/// `{"name":value,...}`. Values are written as they display, so each must
+/// already be a JSON literal (a number, array, object or quoted string).
+pub fn render_pairs<V: fmt::Display>(
+    out: &mut impl fmt::Write,
+    pairs: &[(&str, V)],
+    text_prefix: Option<&str>,
+) -> fmt::Result {
+    if let Some(prefix) = text_prefix {
+        return pairs
+            .iter()
+            .try_for_each(|(name, v)| writeln!(out, "{prefix}{name} {v}"));
+    }
+    out.write_char('{')?;
+    for (i, (name, v)) in pairs.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        write!(out, "{sep}\"{name}\":{v}")?;
+    }
+    out.write_char('}')
+}
 
+/// What the counter table needs of each counter kind, implemented by the
+/// kind's snapshot type.
+trait Kind: Sized {
+    /// The registry's atomic storage for one counter of this kind.
+    type Cell: Default + fmt::Debug;
+    fn load(cell: &Self::Cell) -> Self;
+    /// Saturating, so a diff against a later snapshot yields zeros.
+    fn diff(&self, earlier: &Self) -> Self;
+    /// The value as a JSON literal.
+    fn render(&self) -> String;
+}
+
+impl Kind for u64 {
+    type Cell = AtomicU64;
+    fn load(cell: &AtomicU64) -> u64 {
+        cell.load(Ordering::Relaxed)
+    }
+    fn diff(&self, earlier: &u64) -> u64 {
+        self.saturating_sub(*earlier)
+    }
+    fn render(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl<const N: usize> Kind for [u64; N]
+where
+    [AtomicU64; N]: Default,
+{
+    type Cell = [AtomicU64; N];
+    fn load(cell: &Self::Cell) -> Self {
+        std::array::from_fn(|i| cell[i].load(Ordering::Relaxed))
+    }
+    fn diff(&self, earlier: &Self) -> Self {
+        std::array::from_fn(|i| self[i].saturating_sub(earlier[i]))
+    }
+    fn render(&self) -> String {
+        let items: Vec<String> = self.iter().map(u64::to_string).collect();
+        format!("[{}]", items.join(","))
+    }
+}
+
+impl Kind for HistogramSnapshot {
+    type Cell = AtomicHistogram;
+    fn load(cell: &AtomicHistogram) -> Self {
+        cell.snapshot()
+    }
+    fn diff(&self, earlier: &Self) -> Self {
+        HistogramSnapshot::diff(self, earlier)
+    }
+    fn render(&self) -> String {
+        self.buckets.render()
+    }
+}
+
+/// Generates the registry and its snapshot from the counter table; see
+/// the module docs. `=> "name"` exports a counter under another name.
+macro_rules! engine_counters {
+    ($( $(#[$doc:meta])* $name:ident: $kind:ty $(=> $export:literal)?, )*) => {
+        /// The engine-wide metrics registry; see the [module docs](self).
+        ///
+        /// Create one with [`Metrics::new`] (recording) or
+        /// [`Metrics::disabled`] (every method is a cheap early-out), share
+        /// it by reference or `Arc`, and read it with [`Metrics::snapshot`].
+        #[derive(Debug)]
+        pub struct Metrics {
+            enabled: bool,
+            $( $(#[$doc])* $name: <$kind as Kind>::Cell, )*
+        }
+
+        impl Metrics {
+            fn with_enabled(enabled: bool) -> Self {
+                Metrics { enabled, $( $name: Default::default(), )* }
+            }
+
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $( $name: <$kind as Kind>::load(&self.$name), )* }
+            }
+        }
+
+        /// Plain-data view of a [`Metrics`] registry at one instant.
+        ///
+        /// All counters are saturating; see the field docs on [`Metrics`]'s
+        /// recording methods for their exact semantics.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $name: $kind, )*
+        }
+
+        impl MetricsSnapshot {
+            /// The activity between an `earlier` snapshot and `self`,
+            /// fieldwise (saturating subtraction throughout).
+            pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot { $( $name: Kind::diff(&self.$name, &earlier.$name), )* }
+            }
+
+            /// Every counter as `(name, JSON value)` in table order, with
+            /// the derived overall `ff_ratio` right after `ff_skipped`: the
+            /// list [`to_json`](Self::to_json) and [`fmt::Display`] render.
+            pub fn pairs(&self) -> Vec<(&'static str, String)> {
+                // An entry's name is its `=> "name"` if it has one.
+                let mut pairs =
+                    vec![$(([$($export,)? stringify!($name)][0], self.$name.render()),)*];
+                let ff = pairs.iter().position(|(n, _)| *n == "ff_skipped");
+                let at = ff.expect("the table declares ff_skipped") + 1;
+                pairs.insert(at, ("ff_ratio", format!("{:.6}", self.overall_ff_ratio())));
+                pairs
+            }
+        }
+    };
+}
+
+engine_counters! {
     // --- evaluated side (work performed by engines) ---
-    records_evaluated: AtomicU64,
-    records_stopped: AtomicU64,
-    records_failed: AtomicU64,
-    matches_emitted: AtomicU64,
-    bytes_evaluated: AtomicU64,
-    bytes_failed: AtomicU64,
-    ff_skipped: [AtomicU64; 5],
-    words_classified: AtomicU64,
-    word_cache_hits: AtomicU64,
-    eval_ns: AtomicU64,
-    build_ns: AtomicU64,
-    traverse_ns: AtomicU64,
-    record_bytes: AtomicHistogram,
+    /// Records that evaluated cleanly (complete or stopped early).
+    records_evaluated: u64,
+    /// Cleanly evaluated records whose sink stopped the scan early.
+    records_stopped: u64,
+    /// Records whose evaluation failed.
+    records_failed: u64,
+    /// Matches emitted by engines while evaluating (work performed, which
+    /// under a speculating pipeline can exceed what was delivered).
+    matches_emitted: u64,
+    /// Bytes of cleanly evaluated records.
+    bytes_evaluated: u64,
+    /// Bytes of failed records.
+    bytes_failed: u64,
+    /// Fast-forwarded bytes per group G1–G5 (indexed by
+    /// [`Group::index`]); failed records contribute zero.
+    ff_skipped: [u64; 5],
+    /// 64-byte words run through the bit-parallel classifier.
+    words_classified: u64,
+    /// Word requests served by the single-word bitmap cache (0 without
+    /// the `metrics` cargo feature).
+    word_cache_hits: u64,
+    /// Total evaluation nanoseconds (0 without the `metrics` feature).
+    eval_ns: u64,
+    /// Structure-building nanoseconds: bitmap construction for streaming
+    /// engines, tape/DOM/index building for preprocessing engines (0
+    /// without the `metrics` feature).
+    build_ns: u64,
+    /// Traversal nanoseconds, i.e. evaluation excluding structure
+    /// building (0 without the `metrics` feature).
+    traverse_ns: u64,
+    /// Histogram of evaluated record sizes in bytes.
+    record_bytes: HistogramSnapshot => "record_bytes_hist",
 
     // --- delivered side (what the caller's sink observed, in order) ---
-    records_delivered: AtomicU64,
-    matches_delivered: AtomicU64,
-    bytes_delivered: AtomicU64,
-    records_skipped: AtomicU64,
+    /// Records whose matches were delivered to the caller's sink.
+    records_delivered: u64,
+    /// Matches actually delivered to the caller's sink, in record order.
+    matches_delivered: u64,
+    /// Bytes of records whose matches were delivered.
+    bytes_delivered: u64,
+    /// Records skipped under `SkipMalformed`.
+    records_skipped: u64,
 
     // --- robustness (degraded-input handling) ---
-    io_retries: AtomicU64,
-    resyncs: AtomicU64,
-    resync_bytes: AtomicU64,
-    limit_rejections: AtomicU64,
-    truncated_records: AtomicU64,
-    worker_panics: AtomicU64,
-    checkpoints: AtomicU64,
+    /// Transient I/O errors retried transparently by the reader.
+    io_retries: u64,
+    /// Mid-stream resynchronizations (forward scans to the next record
+    /// boundary after a broken record).
+    resyncs: u64,
+    /// Bytes skipped over by resynchronizations.
+    resync_bytes: u64,
+    /// Records rejected by a [`ResourceLimits`](crate::ResourceLimits)
+    /// guard (size, depth, buffer, or deadline).
+    limit_rejections: u64,
+    /// Records cut off by the end of the stream.
+    truncated_records: u64,
+    /// Evaluation panics caught and converted into per-record failures.
+    worker_panics: u64,
+    /// Checkpoint callbacks delivered from the in-order merge.
+    checkpoints: u64,
 
     // --- pipeline health ---
-    producer_stalls: AtomicU64,
-    worker_idle_waits: AtomicU64,
-    queue_occupancy: AtomicHistogram,
-    worker_records: [AtomicU64; MAX_TRACKED_WORKERS],
-    worker_bytes: [AtomicU64; MAX_TRACKED_WORKERS],
+    /// Producer stalls on the pipeline's bounded queue (backpressure).
+    producer_stalls: u64,
+    /// Worker waits for work on the pipeline's queue.
+    worker_idle_waits: u64,
+    /// Histogram of in-flight record counts sampled at enqueue time.
+    queue_occupancy: HistogramSnapshot => "queue_occupancy_hist",
+    /// Records handled per worker (first [`MAX_TRACKED_WORKERS`] slots).
+    worker_records: [u64; MAX_TRACKED_WORKERS],
+    /// Bytes handled per worker (first [`MAX_TRACKED_WORKERS`] slots).
+    worker_bytes: [u64; MAX_TRACKED_WORKERS],
 }
 
 impl Default for Metrics {
@@ -230,41 +392,6 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    fn with_enabled(enabled: bool) -> Self {
-        Metrics {
-            enabled,
-            records_evaluated: AtomicU64::new(0),
-            records_stopped: AtomicU64::new(0),
-            records_failed: AtomicU64::new(0),
-            matches_emitted: AtomicU64::new(0),
-            bytes_evaluated: AtomicU64::new(0),
-            bytes_failed: AtomicU64::new(0),
-            ff_skipped: Default::default(),
-            words_classified: AtomicU64::new(0),
-            word_cache_hits: AtomicU64::new(0),
-            eval_ns: AtomicU64::new(0),
-            build_ns: AtomicU64::new(0),
-            traverse_ns: AtomicU64::new(0),
-            record_bytes: AtomicHistogram::default(),
-            records_delivered: AtomicU64::new(0),
-            matches_delivered: AtomicU64::new(0),
-            bytes_delivered: AtomicU64::new(0),
-            records_skipped: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            resyncs: AtomicU64::new(0),
-            resync_bytes: AtomicU64::new(0),
-            limit_rejections: AtomicU64::new(0),
-            truncated_records: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            producer_stalls: AtomicU64::new(0),
-            worker_idle_waits: AtomicU64::new(0),
-            queue_occupancy: AtomicHistogram::default(),
-            worker_records: Default::default(),
-            worker_bytes: Default::default(),
-        }
-    }
-
     /// A recording registry.
     pub fn new() -> Self {
         Metrics::with_enabled(true)
@@ -460,193 +587,9 @@ impl Metrics {
         sat_add(&self.worker_records[slot], 1);
         sat_add(&self.worker_bytes[slot], record_bytes);
     }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let mut ff_skipped = [0u64; 5];
-        for (out, c) in ff_skipped.iter_mut().zip(&self.ff_skipped) {
-            *out = ld(c);
-        }
-        let mut worker_records = [0u64; MAX_TRACKED_WORKERS];
-        let mut worker_bytes = [0u64; MAX_TRACKED_WORKERS];
-        for (out, c) in worker_records.iter_mut().zip(&self.worker_records) {
-            *out = ld(c);
-        }
-        for (out, c) in worker_bytes.iter_mut().zip(&self.worker_bytes) {
-            *out = ld(c);
-        }
-        MetricsSnapshot {
-            records_evaluated: ld(&self.records_evaluated),
-            records_stopped: ld(&self.records_stopped),
-            records_failed: ld(&self.records_failed),
-            matches_emitted: ld(&self.matches_emitted),
-            bytes_evaluated: ld(&self.bytes_evaluated),
-            bytes_failed: ld(&self.bytes_failed),
-            ff_skipped,
-            words_classified: ld(&self.words_classified),
-            word_cache_hits: ld(&self.word_cache_hits),
-            eval_ns: ld(&self.eval_ns),
-            build_ns: ld(&self.build_ns),
-            traverse_ns: ld(&self.traverse_ns),
-            record_bytes: self.record_bytes.snapshot(),
-            records_delivered: ld(&self.records_delivered),
-            matches_delivered: ld(&self.matches_delivered),
-            bytes_delivered: ld(&self.bytes_delivered),
-            records_skipped: ld(&self.records_skipped),
-            io_retries: ld(&self.io_retries),
-            resyncs: ld(&self.resyncs),
-            resync_bytes: ld(&self.resync_bytes),
-            limit_rejections: ld(&self.limit_rejections),
-            truncated_records: ld(&self.truncated_records),
-            worker_panics: ld(&self.worker_panics),
-            checkpoints: ld(&self.checkpoints),
-            producer_stalls: ld(&self.producer_stalls),
-            worker_idle_waits: ld(&self.worker_idle_waits),
-            queue_occupancy: self.queue_occupancy.snapshot(),
-            worker_records,
-            worker_bytes,
-        }
-    }
-}
-
-/// Plain-data view of a [`Metrics`] registry at one instant.
-///
-/// All counters are saturating; see the field docs on [`Metrics`]'s
-/// recording methods for their exact semantics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Records that evaluated cleanly (complete or stopped early).
-    pub records_evaluated: u64,
-    /// Cleanly evaluated records whose sink stopped the scan early.
-    pub records_stopped: u64,
-    /// Records whose evaluation failed.
-    pub records_failed: u64,
-    /// Matches emitted by engines while evaluating (work performed, which
-    /// under a speculating pipeline can exceed what was delivered).
-    pub matches_emitted: u64,
-    /// Bytes of cleanly evaluated records.
-    pub bytes_evaluated: u64,
-    /// Bytes of failed records.
-    pub bytes_failed: u64,
-    /// Fast-forwarded bytes per group G1–G5 (indexed by
-    /// [`Group::index`]); failed records contribute zero.
-    pub ff_skipped: [u64; 5],
-    /// 64-byte words run through the bit-parallel classifier.
-    pub words_classified: u64,
-    /// Word requests served by the single-word bitmap cache (0 without
-    /// the `metrics` cargo feature).
-    pub word_cache_hits: u64,
-    /// Total evaluation nanoseconds (0 without the `metrics` feature).
-    pub eval_ns: u64,
-    /// Structure-building nanoseconds: bitmap construction for streaming
-    /// engines, tape/DOM/index building for preprocessing engines (0
-    /// without the `metrics` feature).
-    pub build_ns: u64,
-    /// Traversal nanoseconds, i.e. evaluation excluding structure
-    /// building (0 without the `metrics` feature).
-    pub traverse_ns: u64,
-    /// Histogram of evaluated record sizes in bytes.
-    pub record_bytes: HistogramSnapshot,
-    /// Records whose matches were delivered to the caller's sink.
-    pub records_delivered: u64,
-    /// Matches actually delivered to the caller's sink, in record order.
-    pub matches_delivered: u64,
-    /// Bytes of records whose matches were delivered.
-    pub bytes_delivered: u64,
-    /// Records skipped under `SkipMalformed`.
-    pub records_skipped: u64,
-    /// Transient I/O errors retried transparently by the reader.
-    pub io_retries: u64,
-    /// Mid-stream resynchronizations (forward scans to the next record
-    /// boundary after a broken record).
-    pub resyncs: u64,
-    /// Bytes skipped over by resynchronizations.
-    pub resync_bytes: u64,
-    /// Records rejected by a [`ResourceLimits`](crate::ResourceLimits)
-    /// guard (size, depth, buffer, or deadline).
-    pub limit_rejections: u64,
-    /// Records cut off by the end of the stream.
-    pub truncated_records: u64,
-    /// Evaluation panics caught and converted into per-record failures.
-    pub worker_panics: u64,
-    /// Checkpoint callbacks delivered from the in-order merge.
-    pub checkpoints: u64,
-    /// Producer stalls on the pipeline's bounded queue (backpressure).
-    pub producer_stalls: u64,
-    /// Worker waits for work on the pipeline's queue.
-    pub worker_idle_waits: u64,
-    /// Histogram of in-flight record counts sampled at enqueue time.
-    pub queue_occupancy: HistogramSnapshot,
-    /// Records handled per worker (first [`MAX_TRACKED_WORKERS`] slots).
-    pub worker_records: [u64; MAX_TRACKED_WORKERS],
-    /// Bytes handled per worker (first [`MAX_TRACKED_WORKERS`] slots).
-    pub worker_bytes: [u64; MAX_TRACKED_WORKERS],
 }
 
 impl MetricsSnapshot {
-    /// The activity between an `earlier` snapshot and `self`, fieldwise
-    /// (saturating subtraction throughout).
-    pub fn diff(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut ff_skipped = [0u64; 5];
-        for (i, out) in ff_skipped.iter_mut().enumerate() {
-            *out = self.ff_skipped[i].saturating_sub(earlier.ff_skipped[i]);
-        }
-        let mut worker_records = [0u64; MAX_TRACKED_WORKERS];
-        let mut worker_bytes = [0u64; MAX_TRACKED_WORKERS];
-        for (i, out) in worker_records.iter_mut().enumerate() {
-            *out = self.worker_records[i].saturating_sub(earlier.worker_records[i]);
-        }
-        for (i, out) in worker_bytes.iter_mut().enumerate() {
-            *out = self.worker_bytes[i].saturating_sub(earlier.worker_bytes[i]);
-        }
-        MetricsSnapshot {
-            records_evaluated: self
-                .records_evaluated
-                .saturating_sub(earlier.records_evaluated),
-            records_stopped: self.records_stopped.saturating_sub(earlier.records_stopped),
-            records_failed: self.records_failed.saturating_sub(earlier.records_failed),
-            matches_emitted: self.matches_emitted.saturating_sub(earlier.matches_emitted),
-            bytes_evaluated: self.bytes_evaluated.saturating_sub(earlier.bytes_evaluated),
-            bytes_failed: self.bytes_failed.saturating_sub(earlier.bytes_failed),
-            ff_skipped,
-            words_classified: self
-                .words_classified
-                .saturating_sub(earlier.words_classified),
-            word_cache_hits: self.word_cache_hits.saturating_sub(earlier.word_cache_hits),
-            eval_ns: self.eval_ns.saturating_sub(earlier.eval_ns),
-            build_ns: self.build_ns.saturating_sub(earlier.build_ns),
-            traverse_ns: self.traverse_ns.saturating_sub(earlier.traverse_ns),
-            record_bytes: self.record_bytes.diff(&earlier.record_bytes),
-            records_delivered: self
-                .records_delivered
-                .saturating_sub(earlier.records_delivered),
-            matches_delivered: self
-                .matches_delivered
-                .saturating_sub(earlier.matches_delivered),
-            bytes_delivered: self.bytes_delivered.saturating_sub(earlier.bytes_delivered),
-            records_skipped: self.records_skipped.saturating_sub(earlier.records_skipped),
-            io_retries: self.io_retries.saturating_sub(earlier.io_retries),
-            resyncs: self.resyncs.saturating_sub(earlier.resyncs),
-            resync_bytes: self.resync_bytes.saturating_sub(earlier.resync_bytes),
-            limit_rejections: self
-                .limit_rejections
-                .saturating_sub(earlier.limit_rejections),
-            truncated_records: self
-                .truncated_records
-                .saturating_sub(earlier.truncated_records),
-            worker_panics: self.worker_panics.saturating_sub(earlier.worker_panics),
-            checkpoints: self.checkpoints.saturating_sub(earlier.checkpoints),
-            producer_stalls: self.producer_stalls.saturating_sub(earlier.producer_stalls),
-            worker_idle_waits: self
-                .worker_idle_waits
-                .saturating_sub(earlier.worker_idle_waits),
-            queue_occupancy: self.queue_occupancy.diff(&earlier.queue_occupancy),
-            worker_records,
-            worker_bytes,
-        }
-    }
-
     /// Bytes fast-forwarded by `group`.
     pub fn ff_skipped(&self, group: Group) -> u64 {
         self.ff_skipped[group.index()]
@@ -684,158 +627,19 @@ impl MetricsSnapshot {
         s
     }
 
-    /// Renders the snapshot as a self-contained JSON object, with no
+    /// Renders the snapshot as one compact JSON object, with no
     /// serialization dependency.
     pub fn to_json(&self) -> String {
-        let ff: Vec<String> = self.ff_skipped.iter().map(u64::to_string).collect();
-        let wr: Vec<String> = self.worker_records.iter().map(u64::to_string).collect();
-        let wb: Vec<String> = self.worker_bytes.iter().map(u64::to_string).collect();
-        format!(
-            concat!(
-                "{{",
-                "\"records_evaluated\":{},",
-                "\"records_stopped\":{},",
-                "\"records_failed\":{},",
-                "\"matches_emitted\":{},",
-                "\"bytes_evaluated\":{},",
-                "\"bytes_failed\":{},",
-                "\"ff_skipped\":[{}],",
-                "\"ff_ratio\":{:.6},",
-                "\"words_classified\":{},",
-                "\"word_cache_hits\":{},",
-                "\"eval_ns\":{},",
-                "\"build_ns\":{},",
-                "\"traverse_ns\":{},",
-                "\"record_bytes_hist\":{},",
-                "\"records_delivered\":{},",
-                "\"matches_delivered\":{},",
-                "\"bytes_delivered\":{},",
-                "\"records_skipped\":{},",
-                "\"io_retries\":{},",
-                "\"resyncs\":{},",
-                "\"resync_bytes\":{},",
-                "\"limit_rejections\":{},",
-                "\"truncated_records\":{},",
-                "\"worker_panics\":{},",
-                "\"checkpoints\":{},",
-                "\"producer_stalls\":{},",
-                "\"worker_idle_waits\":{},",
-                "\"queue_occupancy_hist\":{},",
-                "\"worker_records\":[{}],",
-                "\"worker_bytes\":[{}]",
-                "}}"
-            ),
-            self.records_evaluated,
-            self.records_stopped,
-            self.records_failed,
-            self.matches_emitted,
-            self.bytes_evaluated,
-            self.bytes_failed,
-            ff.join(","),
-            self.overall_ff_ratio(),
-            self.words_classified,
-            self.word_cache_hits,
-            self.eval_ns,
-            self.build_ns,
-            self.traverse_ns,
-            self.record_bytes.to_json(),
-            self.records_delivered,
-            self.matches_delivered,
-            self.bytes_delivered,
-            self.records_skipped,
-            self.io_retries,
-            self.resyncs,
-            self.resync_bytes,
-            self.limit_rejections,
-            self.truncated_records,
-            self.worker_panics,
-            self.checkpoints,
-            self.producer_stalls,
-            self.worker_idle_waits,
-            self.queue_occupancy.to_json(),
-            wr.join(","),
-            wb.join(","),
-        )
+        let mut out = String::new();
+        let _ = render_pairs(&mut out, &self.pairs(), None);
+        out
     }
 }
 
+/// One `engine_<name> <value>` line per [`MetricsSnapshot::pairs`] entry.
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "records: {} evaluated ({} stopped, {} failed), {} delivered, {} skipped",
-            self.records_evaluated,
-            self.records_stopped,
-            self.records_failed,
-            self.records_delivered,
-            self.records_skipped,
-        )?;
-        writeln!(
-            f,
-            "matches: {} emitted, {} delivered",
-            self.matches_emitted, self.matches_delivered
-        )?;
-        writeln!(
-            f,
-            "bytes:   {} evaluated, {} failed, {} delivered",
-            self.bytes_evaluated, self.bytes_failed, self.bytes_delivered
-        )?;
-        writeln!(
-            f,
-            "fast-forward: G1 {:.2}% | G2 {:.2}% | G3 {:.2}% | G4 {:.2}% | G5 {:.2}% | overall {:.2}%",
-            100.0 * self.ff_ratio(Group::G1),
-            100.0 * self.ff_ratio(Group::G2),
-            100.0 * self.ff_ratio(Group::G3),
-            100.0 * self.ff_ratio(Group::G4),
-            100.0 * self.ff_ratio(Group::G5),
-            100.0 * self.overall_ff_ratio(),
-        )?;
-        writeln!(
-            f,
-            "bitmap:  {} words classified, {} cache hits",
-            self.words_classified, self.word_cache_hits
-        )?;
-        if self.eval_ns > 0 {
-            writeln!(
-                f,
-                "time:    {} ns eval ({} ns build, {} ns traverse)",
-                self.eval_ns, self.build_ns, self.traverse_ns
-            )?;
-        }
-        if self.io_retries + self.resyncs + self.limit_rejections + self.truncated_records > 0 {
-            writeln!(
-                f,
-                "robust:  {} i/o retries, {} resyncs ({} bytes skipped), {} limit rejections, {} truncated",
-                self.io_retries,
-                self.resyncs,
-                self.resync_bytes,
-                self.limit_rejections,
-                self.truncated_records,
-            )?;
-        }
-        if self.worker_panics + self.checkpoints > 0 {
-            writeln!(
-                f,
-                "crash:   {} panics caught, {} checkpoints",
-                self.worker_panics, self.checkpoints
-            )?;
-        }
-        writeln!(
-            f,
-            "pipeline: {} producer stalls, {} worker waits",
-            self.producer_stalls, self.worker_idle_waits
-        )?;
-        for (i, (&r, &b)) in self
-            .worker_records
-            .iter()
-            .zip(&self.worker_bytes)
-            .enumerate()
-        {
-            if r > 0 {
-                writeln!(f, "worker {i}: {r} records, {b} bytes")?;
-            }
-        }
-        Ok(())
+        render_pairs(f, &self.pairs(), Some("engine_"))
     }
 }
 
@@ -843,6 +647,101 @@ impl fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::RecordOutcome;
+
+    /// A snapshot in which every counter is nonzero, each bumped through
+    /// its public `record_*`/`add_*` method.
+    fn populated() -> MetricsSnapshot {
+        let m = Metrics::new();
+        m.record_outcome(100, &RecordOutcome::Complete { matches: 2 });
+        m.record_outcome(50, &RecordOutcome::Stopped { matches: 1 });
+        m.record_outcome(
+            7,
+            &RecordOutcome::Failed(crate::EngineError::Engine {
+                engine: "t",
+                message: "x".into(),
+            }),
+        );
+        let mut ff = FastForwardStats::new();
+        for (i, g) in Group::ALL.into_iter().enumerate() {
+            ff.record(g, 3 + i as u64);
+        }
+        m.record_fast_forward(&ff);
+        m.record_bitmap(9, 4);
+        m.add_eval_ns(30);
+        m.add_build_ns(10);
+        m.add_traverse_ns(20);
+        m.record_delivered(3, 150);
+        m.record_skipped_record();
+        m.record_io_retry();
+        m.record_resync(42);
+        m.record_limit_rejection();
+        m.record_truncated_record();
+        m.record_worker_panic();
+        m.record_checkpoint();
+        m.record_queue_occupancy(5);
+        m.record_producer_stall();
+        m.record_worker_wait();
+        m.record_worker(1, 150);
+        m.snapshot()
+    }
+
+    #[test]
+    fn diff_covers_every_counter() {
+        let s = populated();
+        for (name, value) in s.pairs() {
+            assert!(
+                value.bytes().any(|b| (b'1'..=b'9').contains(&b)),
+                "{name} is {value}"
+            );
+        }
+        assert_eq!(s.diff(&MetricsSnapshot::default()), s);
+        assert_eq!(s.diff(&s), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn text_and_json_list_the_same_names_in_order() {
+        let s = populated();
+        let text = s.to_string();
+        let text_names: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                l.split_once(' ')
+                    .unwrap()
+                    .0
+                    .strip_prefix("engine_")
+                    .unwrap()
+            })
+            .collect();
+        let json = s.to_json();
+        let json_names: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        assert_eq!(text_names, json_names);
+        let mut unique = json_names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), json_names.len(), "{json}");
+    }
+
+    #[test]
+    fn engine_json_is_pinned() {
+        // Captured from the hand-written renderer this table replaced.
+        assert_eq!(
+            populated().to_json(),
+            concat!(
+                r#"{"records_evaluated":2,"records_stopped":1,"records_failed":1,"#,
+                r#""matches_emitted":3,"bytes_evaluated":150,"bytes_failed":7,"#,
+                r#""ff_skipped":[3,4,5,6,7],"ff_ratio":0.166667,"words_classified":9,"#,
+                r#""word_cache_hits":4,"eval_ns":30,"build_ns":10,"traverse_ns":20,"#,
+                r#""record_bytes_hist":[0,0,0,1,0,0,1,1,0,0,0,0,0,0,0,0],"#,
+                r#""records_delivered":1,"matches_delivered":3,"bytes_delivered":150,"#,
+                r#""records_skipped":1,"io_retries":1,"resyncs":1,"resync_bytes":42,"#,
+                r#""limit_rejections":1,"truncated_records":1,"worker_panics":1,"#,
+                r#""checkpoints":1,"producer_stalls":1,"worker_idle_waits":1,"#,
+                r#""queue_occupancy_hist":[0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+                r#""worker_records":[0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"#,
+                r#""worker_bytes":[0,150,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+            )
+        );
+    }
 
     #[test]
     fn disabled_registry_records_nothing() {
@@ -1007,8 +906,8 @@ mod tests {
             assert!(json.contains(key), "{key} missing from {json}");
         }
         let text = s.to_string();
-        assert!(text.contains("fast-forward"), "{text}");
-        assert!(text.contains("worker 2: 1 records"), "{text}");
+        assert!(text.contains("\nengine_ff_ratio 0.000000\n"), "{text}");
+        assert!(text.contains("\nengine_worker_records [0,0,1,0,"), "{text}");
     }
 
     #[test]
@@ -1036,7 +935,11 @@ mod tests {
         ] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
-        assert!(s.to_string().contains("2 resyncs (42 bytes skipped)"));
+        let text = s.to_string();
+        assert!(
+            text.contains("\nengine_resyncs 2\nengine_resync_bytes 42\n"),
+            "{text}"
+        );
         let later = {
             m.record_resync(8);
             m.snapshot()

@@ -25,22 +25,26 @@ struct Entry {
     _permit: Option<MemPermit>,
 }
 
-/// A bounded least-recently-used cache of compiled [`JsonSki`] engines.
-///
-/// Shared across worker threads behind a [`Mutex`]; the critical section
-/// is a hash-map probe, so contention is negligible next to evaluation.
-/// Eviction is an `O(len)` min-stamp scan — fine for the tens-of-entries
-/// capacities a daemon uses.
-pub struct QueryCache {
-    entries: Mutex<HashMap<(String, u64), Entry>>,
-    capacity: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// When set, every resident entry carries a tracked-memory charge;
-    /// an entry the budget refuses is served uncached instead of evicting
-    /// request buffers to make room for itself.
-    budget: Option<Arc<MemBudget>>,
+jsonski::metric_struct! {
+    /// A bounded least-recently-used cache of compiled [`JsonSki`] engines.
+    ///
+    /// Shared across worker threads behind a [`Mutex`]; the critical section
+    /// is a hash-map probe, so contention is negligible next to evaluation.
+    /// Eviction is an `O(len)` min-stamp scan — fine for the tens-of-entries
+    /// capacities a daemon uses. Its `pairs()` are the scrape's `cache_*`
+    /// counters.
+    pub struct QueryCache {
+        hits: AtomicU64 => "hits",
+        misses: AtomicU64 => "misses",
+        /// Resident compiled queries; the `entries` gauge is their count.
+        entries: Mutex<HashMap<(String, u64), Entry>> => "entries",
+        capacity: usize,
+        clock: AtomicU64,
+        /// When set, every resident entry carries a tracked-memory charge;
+        /// an entry the budget refuses is served uncached instead of evicting
+        /// request buffers to make room for itself.
+        budget: Option<Arc<MemBudget>>,
+    }
 }
 
 impl QueryCache {

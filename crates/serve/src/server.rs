@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
+use jsonski::metrics::render_pairs;
 use jsonski::{
     digest_parts, CancellationToken, ChunkedRecords, EngineConfig, EngineError, ErrorPolicy,
     IndexedJsonSki, IndexedRecords, JsonSki, LimitExceeded, Match, MatchSink, MemBudget, MemDenied,
@@ -164,96 +165,66 @@ impl ServeConfig {
     }
 }
 
-/// Monotonic counters describing the server's lifetime, exposed by the
-/// metrics scrape and summarized by [`ServeSummary`]. All counters are
-/// relaxed atomics: cheap to bump, read-consistent enough for telemetry.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Request frames parsed (any op).
-    pub requests: AtomicU64,
-    /// Query requests past admission control (holding a tenant permit).
-    /// `admitted - ok - timeouts - eval_failed - panics` is the number of
-    /// admitted queries still in flight.
-    pub admitted: AtomicU64,
-    /// Query requests answered `200 ok`.
-    pub ok: AtomicU64,
-    /// Requests rejected `400 bad_request`.
-    pub bad_request: AtomicU64,
-    /// Requests that hit their deadline (`408 timeout`).
-    pub timeouts: AtomicU64,
-    /// Requests whose body failed evaluation (`422 eval_failed`).
-    pub eval_failed: AtomicU64,
-    /// Requests shed for queue pressure (`429`, reason `queue_full`).
-    pub shed_queue: AtomicU64,
-    /// Requests shed for tenant quota (`429`, reason `tenant_quota`).
-    pub shed_tenant: AtomicU64,
-    /// Requests shed because their buffers would exceed the memory
-    /// budget even after eviction (`429`, reason `memory`).
-    pub shed_memory: AtomicU64,
-    /// `200 ok` responses delivered as chunked streams (header + chunk
-    /// frames + checksummed trailer).
-    pub streamed: AtomicU64,
-    /// Requests that panicked in evaluation (`500 panic`).
-    pub panics: AtomicU64,
-    /// Requests rejected because the server is draining (`503`).
-    pub draining_rejects: AtomicU64,
-    /// `op: "ping"` probes answered.
-    pub pings: AtomicU64,
-    /// `op: "metrics"` scrapes served.
-    pub scrapes: AtomicU64,
-    /// Connections dropped for protocol violations (bad frame, oversized,
-    /// truncated).
-    pub protocol_errors: AtomicU64,
-    /// Connections closed for stalling mid-frame past the budget.
-    pub stalled_conns: AtomicU64,
-    /// Connections closed because the peer stopped draining its receive
-    /// buffer past the response-write stall budget.
-    pub stalled_writes: AtomicU64,
-    /// Stored-corpus requests answered `404 not_found`.
-    pub corpus_not_found: AtomicU64,
+jsonski::metric_struct! {
+    /// Monotonic counters describing the server's lifetime, exposed by the
+    /// metrics scrape and summarized by [`ServeSummary`]. All counters are
+    /// relaxed atomics: cheap to bump, read-consistent enough for telemetry.
+    #[derive(Debug, Default)]
+    pub struct ServeStats {
+        /// Connections accepted.
+        pub connections: AtomicU64 => "connections",
+        /// Request frames parsed (any op).
+        pub requests: AtomicU64 => "requests",
+        /// Query requests past admission control (holding a tenant permit).
+        /// Besides `ok`, `timeouts`, `eval_failed` and `panics`, an admitted
+        /// query can end as a 404 (`corpus_not_found`), a 429 memory shed
+        /// (`shed_memory`, which also counts sheds at admission) or a 400
+        /// query parse error (`bad_request`, which also counts frame errors
+        /// before admission), so no difference of counters gives the number
+        /// of admitted queries still in flight.
+        pub admitted: AtomicU64 => "admitted",
+        /// Query requests answered `200 ok`.
+        pub ok: AtomicU64 => "ok",
+        /// Requests rejected `400 bad_request`.
+        pub bad_request: AtomicU64 => "bad_request",
+        /// Requests that hit their deadline (`408 timeout`).
+        pub timeouts: AtomicU64 => "timeouts",
+        /// Requests whose body failed evaluation (`422 eval_failed`).
+        pub eval_failed: AtomicU64 => "eval_failed",
+        /// Requests shed for queue pressure (`429`, reason `queue_full`).
+        pub shed_queue: AtomicU64 => "shed_queue",
+        /// Requests shed for tenant quota (`429`, reason `tenant_quota`).
+        pub shed_tenant: AtomicU64 => "shed_tenant",
+        /// Requests shed because their buffers would exceed the memory
+        /// budget even after eviction (`429`, reason `memory`).
+        pub shed_memory: AtomicU64 => "shed_memory",
+        /// `200 ok` responses delivered as chunked streams (header + chunk
+        /// frames + checksummed trailer).
+        pub streamed: AtomicU64 => "streamed",
+        /// Requests that panicked in evaluation (`500 panic`).
+        pub panics: AtomicU64 => "panics",
+        /// Requests rejected because the server is draining (`503`).
+        pub draining_rejects: AtomicU64 => "draining_rejects",
+        /// `op: "ping"` probes answered.
+        pub pings: AtomicU64 => "pings",
+        /// `op: "metrics"` scrapes served.
+        pub scrapes: AtomicU64 => "scrapes",
+        /// Connections dropped for protocol violations (bad frame, oversized,
+        /// truncated).
+        pub protocol_errors: AtomicU64 => "protocol_errors",
+        /// Connections closed for stalling mid-frame past the budget.
+        pub stalled_conns: AtomicU64 => "stalled_conns",
+        /// Connections closed because the peer stopped draining its receive
+        /// buffer past the response-write stall budget.
+        pub stalled_writes: AtomicU64 => "stalled_writes",
+        /// Stored-corpus requests answered `404 not_found`.
+        pub corpus_not_found: AtomicU64 => "corpus_not_found",
+    }
 }
 
 impl ServeStats {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("connections", self.connections.load(Ordering::Relaxed)),
-            ("requests", self.requests.load(Ordering::Relaxed)),
-            ("admitted", self.admitted.load(Ordering::Relaxed)),
-            ("ok", self.ok.load(Ordering::Relaxed)),
-            ("bad_request", self.bad_request.load(Ordering::Relaxed)),
-            ("timeouts", self.timeouts.load(Ordering::Relaxed)),
-            ("eval_failed", self.eval_failed.load(Ordering::Relaxed)),
-            ("shed_queue", self.shed_queue.load(Ordering::Relaxed)),
-            ("shed_tenant", self.shed_tenant.load(Ordering::Relaxed)),
-            ("shed_memory", self.shed_memory.load(Ordering::Relaxed)),
-            ("streamed", self.streamed.load(Ordering::Relaxed)),
-            ("panics", self.panics.load(Ordering::Relaxed)),
-            (
-                "draining_rejects",
-                self.draining_rejects.load(Ordering::Relaxed),
-            ),
-            ("pings", self.pings.load(Ordering::Relaxed)),
-            ("scrapes", self.scrapes.load(Ordering::Relaxed)),
-            (
-                "protocol_errors",
-                self.protocol_errors.load(Ordering::Relaxed),
-            ),
-            ("stalled_conns", self.stalled_conns.load(Ordering::Relaxed)),
-            (
-                "stalled_writes",
-                self.stalled_writes.load(Ordering::Relaxed),
-            ),
-            (
-                "corpus_not_found",
-                self.corpus_not_found.load(Ordering::Relaxed),
-            ),
-        ]
     }
 }
 
@@ -999,56 +970,30 @@ fn scrape_metrics(req: &Request, shared: &Arc<Shared>) -> Vec<u8> {
     };
     let sections = [
         ("serve", "serve_", shared.stats.pairs()),
-        (
-            "cache",
-            "cache_",
-            vec![
-                ("hits", shared.cache.hits()),
-                ("misses", shared.cache.misses()),
-                ("entries", shared.cache.len() as u64),
-            ],
-        ),
+        ("cache", "cache_", shared.cache.pairs()),
         ("index", "", index_pairs),
         ("memory", "", shared.budget.pairs()),
     ];
     let mut body = String::new();
     if req.metrics_json {
-        body.push('{');
-        for (section, _, pairs) in &sections {
-            let _ = write!(body, "\"{section}\": ");
-            render_pairs(&mut body, pairs, None);
-            body.push_str(", ");
-        }
-        let _ = writeln!(body, "\"engine\": {}}}", snapshot.to_json());
+        let mut objects: Vec<(&str, String)> = sections
+            .iter()
+            .map(|(section, _, pairs)| {
+                let mut object = String::new();
+                let _ = render_pairs(&mut object, pairs, None);
+                (*section, object)
+            })
+            .collect();
+        objects.push(("engine", snapshot.to_json()));
+        let _ = render_pairs(&mut body, &objects, None);
+        body.push('\n');
     } else {
         for (_, prefix, pairs) in &sections {
-            render_pairs(&mut body, pairs, Some(prefix));
+            let _ = render_pairs(&mut body, pairs, Some(prefix));
         }
         let _ = write!(body, "# engine metrics\n{snapshot}");
     }
     encode_response(Status::Ok, &req.id, 0, 0, 0, None, body.as_bytes())
-}
-
-/// Appends `(name, value)` counters to a scrape body: one `{prefix}name
-/// value` line each in text (`prefix` given), or one JSON object.
-fn render_pairs(out: &mut String, pairs: &[(&str, u64)], text_prefix: Option<&str>) {
-    match text_prefix {
-        Some(prefix) => {
-            for (name, v) in pairs {
-                let _ = writeln!(out, "{prefix}{name} {v}");
-            }
-        }
-        None => {
-            out.push('{');
-            for (i, (name, v)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{name}\": {v}");
-            }
-            out.push('}');
-        }
-    }
 }
 
 /// A zero-counter [`WorkResult`] for watchdog-fabricated outcomes.
@@ -1112,17 +1057,12 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
             return write_frame_guarded(conn, shared, &frame);
         }
     };
-    let shed_memory = |conn: &mut Conn, denied: &MemDenied| -> Result<(), WriteClose> {
+    // A memory shed carries no body, like the admission-time shed;
+    // `mem_denied_global`/`mem_denied_tenant` record which cap refused.
+    let shed_memory = |conn: &mut Conn| -> Result<(), WriteClose> {
         ServeStats::bump(&shared.stats.shed_memory);
-        let frame = encode_response(
-            Status::Shed,
-            &req.id,
-            0,
-            0,
-            0,
-            Some(ShedReason::Memory.name()),
-            denied.to_string().as_bytes(),
-        );
+        let reason = Some(ShedReason::Memory.name());
+        let frame = encode_response(Status::Shed, &req.id, 0, 0, 0, reason, b"");
         write_frame_guarded(conn, shared, &frame)
     };
     // Resolve the evaluation input on the connection thread (inside the
@@ -1139,8 +1079,8 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
         } else {
             match reserve_with_relief(shared, Some(&req.tenant), req.body.len()) {
                 Ok(p) => Some(p),
-                Err(denied) => {
-                    let write = shed_memory(conn, &denied);
+                Err(_) => {
+                    let write = shed_memory(conn);
                     drop(permit);
                     return write;
                 }
@@ -1193,8 +1133,8 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
                             shared.config.chunk_bytes.max(1),
                         ) {
                             Ok(p) => Some(p),
-                            Err(denied) => {
-                                let write = shed_memory(conn, &denied);
+                            Err(_) => {
+                                let write = shed_memory(conn);
                                 drop(permit);
                                 return write;
                             }

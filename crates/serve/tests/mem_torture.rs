@@ -297,6 +297,7 @@ fn tenant_share_sheds_only_the_hog() {
     let resp = hog.query("hog", "hog", QUERY, None, &big).unwrap();
     assert_eq!(resp.code, 429, "{:?}", resp.reason);
     assert_eq!(resp.reason.as_deref(), Some("memory"));
+    assert!(resp.body.is_empty(), "a memory shed carries no body");
     let mut other = Client::connect_tcp(&addr).unwrap();
     let resp = other.query("ok", "polite", QUERY, None, &small).unwrap();
     assert_eq!(resp.code, 200, "{:?}", resp.reason);
@@ -392,7 +393,7 @@ fn mem_gauges_have_a_stable_schema() {
     );
     let json = String::from_utf8(c.metrics(true).unwrap().body).unwrap();
     assert!(
-        json.contains("\"memory\": {\"mem_budget_bytes\": 0"),
+        json.contains("\"memory\":{\"mem_budget_bytes\":0"),
         "memory section missing from JSON scrape:\n{json}"
     );
     token.cancel();

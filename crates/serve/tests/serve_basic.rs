@@ -339,7 +339,7 @@ fn metrics_scrape_requires_opt_in_and_reports_counters() {
     assert_eq!(
         (
             text.split_once("# engine metrics\n").unwrap().0,
-            json.split_once(", \"engine\": ").unwrap().0
+            json.split_once(",\"engine\":").unwrap().0
         ),
         (
             "serve_connections 1\n\
@@ -379,19 +379,19 @@ fn metrics_scrape_requires_opt_in_and_reports_counters() {
             mem_evictions 0\n\
             mem_forced_streams 0\n\
             mem_corpus_stream_fallbacks 0\n",
-            "{\"serve\": {\"connections\": 1, \"requests\": 2, \"admitted\": 0, \"ok\": 0, \
-            \"bad_request\": 0, \"timeouts\": 0, \"eval_failed\": 0, \"shed_queue\": 0, \
-            \"shed_tenant\": 0, \"shed_memory\": 0, \"streamed\": 0, \"panics\": 0, \
-            \"draining_rejects\": 0, \"pings\": 0, \"scrapes\": 2, \"protocol_errors\": 0, \
-            \"stalled_conns\": 0, \"stalled_writes\": 0, \"corpus_not_found\": 0}, \
-            \"cache\": {\"hits\": 0, \"misses\": 0, \"entries\": 0}, \
-            \"index\": {\"index_hit\": 0, \"index_miss\": 0, \"index_stale\": 0, \
-            \"index_corrupt_fallback\": 0, \"index_rebuilds\": 0, \
-            \"index_skipped_classification_bytes\": 0}, \
-            \"memory\": {\"mem_budget_bytes\": 0, \"mem_tenant_cap_bytes\": 0, \
-            \"mem_used_bytes\": 0, \"mem_peak_bytes\": 0, \"mem_denied_global\": 0, \
-            \"mem_denied_tenant\": 0, \"mem_evictions\": 0, \"mem_forced_streams\": 0, \
-            \"mem_corpus_stream_fallbacks\": 0}"
+            "{\"serve\":{\"connections\":1,\"requests\":2,\"admitted\":0,\"ok\":0,\
+            \"bad_request\":0,\"timeouts\":0,\"eval_failed\":0,\"shed_queue\":0,\
+            \"shed_tenant\":0,\"shed_memory\":0,\"streamed\":0,\"panics\":0,\
+            \"draining_rejects\":0,\"pings\":0,\"scrapes\":2,\"protocol_errors\":0,\
+            \"stalled_conns\":0,\"stalled_writes\":0,\"corpus_not_found\":0},\
+            \"cache\":{\"hits\":0,\"misses\":0,\"entries\":0},\
+            \"index\":{\"index_hit\":0,\"index_miss\":0,\"index_stale\":0,\
+            \"index_corrupt_fallback\":0,\"index_rebuilds\":0,\
+            \"index_skipped_classification_bytes\":0},\
+            \"memory\":{\"mem_budget_bytes\":0,\"mem_tenant_cap_bytes\":0,\
+            \"mem_used_bytes\":0,\"mem_peak_bytes\":0,\"mem_denied_global\":0,\
+            \"mem_denied_tenant\":0,\"mem_evictions\":0,\"mem_forced_streams\":0,\
+            \"mem_corpus_stream_fallbacks\":0}"
         )
     );
     let body = ndjson(10);
