@@ -124,13 +124,13 @@ fn metrics_overhead_guard(c: &mut Criterion) {
     g.bench_function("metered_disabled", |b| {
         b.iter(|| {
             let mut sink = jsonski::CountSink::default();
-            ski.evaluate_metered(record, 0, &mut sink, &disabled)
+            ski.evaluate_metered(record, 0, &mut sink, Some(&disabled))
         })
     });
     g.bench_function("metered_live", |b| {
         b.iter(|| {
             let mut sink = jsonski::CountSink::default();
-            ski.evaluate_metered(record, 0, &mut sink, &live)
+            ski.evaluate_metered(record, 0, &mut sink, Some(&live))
         })
     });
     g.finish();

@@ -1575,14 +1575,14 @@ mod tests {
         let json = br#"{"a": [0, 1, 2, {"name": "x"}], "b": {"name": "y", "tail": [1, 2, 3]}}"#;
         let metrics = crate::Metrics::new();
         let q = JsonSki::compile("$..name").unwrap();
-        q.evaluate_metered(json, 0, &mut Null, &metrics);
+        q.evaluate_metered(json, 0, &mut Null, Some(&metrics));
         let snap = metrics.snapshot();
         for g in [Group::G1, Group::G4, Group::G5] {
             assert_eq!(snap.ff_skipped(g), 0, "{g:?} fired under a descendant");
         }
         let metrics = crate::Metrics::new();
         let q = JsonSki::compile("$.b.name").unwrap();
-        q.evaluate_metered(json, 0, &mut Null, &metrics);
+        q.evaluate_metered(json, 0, &mut Null, Some(&metrics));
         assert!(metrics.snapshot().ff_skipped(Group::G4) > 0);
     }
 

@@ -404,32 +404,25 @@ impl MatchSink for CountSink {
 /// One record in, matches out: the contract shared by all five engines.
 ///
 /// Implementations are `Sync` so one engine value can serve all workers of a
-/// [`Pipeline`]. For the preprocessing engines (DOM, tape, leveled index)
-/// [`Evaluate::evaluate`] includes the preprocessing work, as in the paper's
-/// measurements.
+/// [`Pipeline`]. An engine writes its evaluation once, in
+/// [`evaluate_metered`](Evaluate::evaluate_metered); for the preprocessing
+/// engines (DOM, tape, leveled index) it includes the preprocessing work,
+/// as in the paper's measurements.
 ///
 /// [`Pipeline`]: crate::Pipeline
 pub trait Evaluate: Sync {
     /// The engine's display name (matching the paper's, e.g. `"JSONSki"`).
     fn name(&self) -> &'static str;
 
-    /// Evaluates one record, delivering match spans to `sink`.
+    /// Evaluates one record, delivering match spans to `sink`. A live
+    /// `metrics` registry receives the evaluated-side counters (delivery
+    /// accounting belongs to whoever owns the sink, e.g. the [`Pipeline`]
+    /// merge): outcomes, bytes, matches and the build/traverse/eval time
+    /// split from every engine, per-group fast-forward bytes and bitmap
+    /// words from JSONSki. With none, no clock is read.
     ///
     /// Never panics on malformed input: failures are returned as
     /// [`RecordOutcome::Failed`].
-    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome;
-
-    /// Evaluates one record while recording observability counters into
-    /// `metrics` (the evaluated-side counters only — delivery accounting
-    /// belongs to whoever owns the sink, e.g. the [`Pipeline`] merge).
-    ///
-    /// The default implementation wraps [`Evaluate::evaluate`] with the
-    /// byte-level counters every engine shares — records, bytes, matches
-    /// and total evaluation time — so all five engines report *comparable*
-    /// numbers. Engines override it to add engine-specific detail: JSONSki
-    /// contributes per-group fast-forward bytes and bitmap-word counts,
-    /// the preprocessing engines split structure-building from traversal
-    /// time.
     ///
     /// [`Pipeline`]: crate::Pipeline
     fn evaluate_metered(
@@ -437,13 +430,13 @@ pub trait Evaluate: Sync {
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn MatchSink,
-        metrics: &crate::Metrics,
-    ) -> RecordOutcome {
-        let sw = metrics.stopwatch();
-        let outcome = self.evaluate(record, record_idx, sink);
-        metrics.record_outcome(record.len(), &outcome);
-        metrics.add_eval_ns(sw.elapsed_ns());
-        outcome
+        metrics: Option<&crate::Metrics>,
+    ) -> RecordOutcome;
+
+    /// Evaluates one record with no metrics registry (provided on top of
+    /// [`Evaluate::evaluate_metered`]).
+    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
+        self.evaluate_metered(record, record_idx, sink, None)
     }
 
     /// Counts matches in one record (provided on top of
@@ -453,10 +446,9 @@ pub trait Evaluate: Sync {
     ///
     /// The [`EngineError`] of a failed record.
     fn count(&self, record: &[u8]) -> Result<usize, EngineError> {
-        let mut sink = CountSink::default();
-        match self.evaluate(record, 0, &mut sink) {
-            RecordOutcome::Complete { matches } | RecordOutcome::Stopped { matches } => Ok(matches),
+        match self.evaluate(record, 0, &mut CountSink::default()) {
             RecordOutcome::Failed(e) => Err(e),
+            outcome => Ok(outcome.matches()),
         }
     }
 }
@@ -490,9 +482,7 @@ pub(crate) fn stream_outcome(
                 if let Some(m) = metrics {
                     m.record_fast_forward(&o.stats);
                     m.record_bitmap(o.words_classified as u64, o.word_cache_hits);
-                    m.add_eval_ns(eval_ns);
-                    m.add_build_ns(o.classify_ns);
-                    m.add_traverse_ns(eval_ns.saturating_sub(o.classify_ns));
+                    m.add_eval_split_ns(o.classify_ns, eval_ns);
                 }
                 if o.stopped {
                     RecordOutcome::Stopped { matches: o.matches }
@@ -517,27 +507,137 @@ pub(crate) fn stream_outcome(
     outcome
 }
 
+/// The sink as a [`baseline_outcome`] walk step sees it: it counts each
+/// match it delivers, and a sink's [`ControlFlow::Break`] stops the walk.
+pub struct Walk<'a> {
+    record: &'a [u8],
+    record_idx: u64,
+    sink: &'a mut dyn MatchSink,
+    matches: usize,
+    stopped: bool,
+}
+
+impl Walk<'_> {
+    /// Delivers a value given as a slice of the record (located by
+    /// [`Match::from_slice`]); on [`ControlFlow::Break`] the walk must stop.
+    #[inline]
+    pub fn emit_slice(&mut self, bytes: &[u8]) -> ControlFlow<()> {
+        self.deliver(Match::from_slice(self.record_idx, self.record, bytes))
+    }
+
+    /// Delivers each slice of `values` in order until the sink breaks.
+    pub fn emit_slices<'v>(&mut self, values: impl IntoIterator<Item = &'v [u8]>) {
+        for bytes in values {
+            if self.emit_slice(bytes).is_break() {
+                return;
+            }
+        }
+    }
+
+    /// Delivers the value at each span of the record (normalized by
+    /// [`Match::new`]) in order until the sink breaks.
+    pub fn emit_spans(&mut self, spans: impl IntoIterator<Item = (usize, usize)>) {
+        for span in spans {
+            if self
+                .deliver(Match::new(self.record_idx, self.record, span))
+                .is_break()
+            {
+                return;
+            }
+        }
+    }
+
+    #[inline]
+    fn deliver(&mut self, m: Match<'_>) -> ControlFlow<()> {
+        self.matches += 1;
+        let flow = self.sink.on_match(m);
+        self.stopped = flow.is_break();
+        flow
+    }
+}
+
+/// The outcome mapping the four baseline engines share (JPStream and the
+/// DOM, tape and leveled-index engines). In order:
+///
+/// 1. under [`ValidationMode::Strict`](crate::ValidationMode), the
+///    [`validate_record`](crate::validate_record) pre-pass: its verdict
+///    becomes [`EngineError::Invalid`], the offset and reason the
+///    streaming engine reports mid-skip;
+/// 2. `build`, the engine's preprocessing (DOM, tape or index);
+/// 3. `walk`, which delivers record `record_idx`'s matches to `sink`
+///    through [`Walk`] and stops on a [`ControlFlow::Break`];
+/// 4. [`RecordOutcome::Stopped`] or [`RecordOutcome::Complete`]. An error
+///    of `build` or `walk` becomes [`EngineError::Engine`] for `engine`.
+///
+/// A live `metrics` registry also gets the outcome and the time split:
+/// the pre-pass and `build` are build time, `walk` is traversal. With
+/// none, no clock is read.
+#[allow(clippy::too_many_arguments)]
+pub fn baseline_outcome<T, E: fmt::Display>(
+    engine: &'static str,
+    validation: crate::ValidationMode,
+    record: &[u8],
+    record_idx: u64,
+    sink: &mut dyn MatchSink,
+    metrics: Option<&crate::Metrics>,
+    build: impl FnOnce() -> Result<T, E>,
+    walk: impl FnOnce(T, &mut Walk<'_>) -> Result<(), E>,
+) -> RecordOutcome {
+    let metrics = metrics.filter(|m| m.is_enabled());
+    let sw = metrics.map(crate::Metrics::stopwatch);
+    let elapsed = || sw.map_or(0, |sw| sw.elapsed_ns());
+    let failed = |e: E| {
+        RecordOutcome::Failed(EngineError::Engine {
+            engine,
+            message: e.to_string(),
+        })
+    };
+    let mut build_ns = None;
+    let outcome = 'eval: {
+        if validation == crate::ValidationMode::Strict {
+            if let Some((offset, reason)) = crate::validate_record(record) {
+                break 'eval RecordOutcome::Failed(EngineError::Invalid { offset, reason });
+            }
+        }
+        let built = match build() {
+            Ok(built) => built,
+            Err(e) => break 'eval failed(e),
+        };
+        build_ns = Some(elapsed());
+        let mut out = Walk {
+            record,
+            record_idx,
+            sink,
+            matches: 0,
+            stopped: false,
+        };
+        match (walk(built, &mut out), out.matches) {
+            (Err(e), _) => failed(e),
+            (Ok(()), matches) if out.stopped => RecordOutcome::Stopped { matches },
+            (Ok(()), matches) => RecordOutcome::Complete { matches },
+        }
+    };
+    if let Some(m) = metrics {
+        let eval_ns = elapsed();
+        m.add_eval_split_ns(build_ns.unwrap_or(eval_ns), eval_ns);
+        m.record_outcome(record.len(), &outcome);
+    }
+    outcome
+}
+
 impl Evaluate for crate::JsonSki {
     fn name(&self) -> &'static str {
         "JSONSki"
     }
 
-    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
-        stream_outcome(record, &self.config().limits, None, || {
-            self.stream(record, |m| sink.on_match(m.with_record_idx(record_idx)))
-        })
-    }
-
-    /// JSONSki's override reads the live [`StreamOutcome`] counters (see
-    /// the shared outcome mapping).
     fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn MatchSink,
-        metrics: &crate::Metrics,
+        metrics: Option<&crate::Metrics>,
     ) -> RecordOutcome {
-        stream_outcome(record, &self.config().limits, Some(metrics), || {
+        stream_outcome(record, &self.config().limits, metrics, || {
             self.stream(record, |m| sink.on_match(m.with_record_idx(record_idx)))
         })
     }
@@ -594,7 +694,7 @@ mod tests {
         let metrics = crate::Metrics::new();
         let mut sink = CountSink::default();
         let json = br#"{"a": 1, "pad": [1, 2, 3, 4]}"#;
-        let outcome = engine.evaluate_metered(json, 0, &mut sink, &metrics);
+        let outcome = engine.evaluate_metered(json, 0, &mut sink, Some(&metrics));
         assert_eq!(outcome.matches(), 1);
         let s = metrics.snapshot();
         assert_eq!(s.records_evaluated, 1);
@@ -614,7 +714,7 @@ mod tests {
         let engine = JsonSki::compile("$[*]").unwrap();
         let metrics = crate::Metrics::new();
         let mut sink = CountSink::default();
-        let outcome = engine.evaluate_metered(b"[3, 4", 0, &mut sink, &metrics);
+        let outcome = engine.evaluate_metered(b"[3, 4", 0, &mut sink, Some(&metrics));
         assert!(outcome.is_failed());
         let s = metrics.snapshot();
         assert_eq!(s.matches_emitted, 0);
@@ -625,32 +725,117 @@ mod tests {
     }
 
     #[test]
-    fn default_evaluate_metered_counts_comparable_bytes() {
-        // Exercise the trait's provided implementation through an engine
-        // with no override.
+    fn provided_evaluate_runs_the_metered_body_without_a_registry() {
+        // `evaluate` and `count` are provided on top of the one required
+        // method, which they call with no registry.
         struct Fixed;
         impl Evaluate for Fixed {
             fn name(&self) -> &'static str {
                 "fixed"
             }
-            fn evaluate(
+            fn evaluate_metered(
                 &self,
                 _record: &[u8],
                 record_idx: u64,
                 sink: &mut dyn MatchSink,
+                metrics: Option<&crate::Metrics>,
             ) -> RecordOutcome {
+                assert!(metrics.is_none());
                 let _ = sink.on_match(Match::new(record_idx, b"x", (0, 1)));
                 RecordOutcome::Complete { matches: 1 }
             }
         }
+        let mut sink = CountSink::default();
+        assert_eq!(Fixed.evaluate(b"0123456789", 0, &mut sink).matches(), 1);
+        assert_eq!(sink.matches, 1);
+        assert_eq!(Fixed.count(b"0123456789").unwrap(), 1);
+    }
+
+    /// A baseline-shaped engine matching each digit of a record: build
+    /// fails on an empty record, walk fails on `x`.
+    fn digits(
+        validation: crate::ValidationMode,
+        record: &[u8],
+        sink: &mut dyn MatchSink,
+        metrics: Option<&crate::Metrics>,
+    ) -> RecordOutcome {
+        baseline_outcome(
+            "digits",
+            validation,
+            record,
+            0,
+            sink,
+            metrics,
+            || {
+                if record.is_empty() {
+                    Err("empty")
+                } else {
+                    Ok(record)
+                }
+            },
+            |built, out| {
+                if built.contains(&b'x') {
+                    return Err("bad digit");
+                }
+                let digits = built.iter().enumerate().filter(|(_, b)| b.is_ascii_digit());
+                out.emit_spans(digits.map(|(i, _)| (i, i + 1)));
+                Ok(())
+            },
+        )
+    }
+
+    #[test]
+    fn baseline_outcome_maps_every_step() {
+        use crate::ValidationMode::{Permissive, Strict};
+        let mut sink = CountSink::default();
+        let out = digits(Permissive, b"[1, 2, 3]", &mut sink, None);
+        assert!(
+            matches!(out, RecordOutcome::Complete { matches: 3 }),
+            "{out:?}"
+        );
+        let mut first = FnSink::new(|_m: Match<'_>| ControlFlow::Break(()));
+        let out = digits(Permissive, b"[1, 2, 3]", &mut first, None);
+        assert!(
+            matches!(out, RecordOutcome::Stopped { matches: 1 }),
+            "{out:?}"
+        );
+        match digits(Permissive, b"", &mut sink, None) {
+            RecordOutcome::Failed(e) => assert_eq!(e.to_string(), "digits: empty"),
+            other => panic!("expected a build failure, got {other:?}"),
+        }
+        match digits(Permissive, b"[1, x]", &mut sink, None) {
+            RecordOutcome::Failed(e) => assert_eq!(e.to_string(), "digits: bad digit"),
+            other => panic!("expected a walk failure, got {other:?}"),
+        }
+        // Strict runs the shared pre-pass first; Permissive never does.
+        let bad_utf8 = b"[1, \"\xFF\"]";
+        assert!(!digits(Permissive, bad_utf8, &mut sink, None).is_failed());
+        match digits(Strict, bad_utf8, &mut sink, None) {
+            RecordOutcome::Failed(EngineError::Invalid { offset, reason }) => {
+                assert_eq!((offset, reason), (5, crate::InvalidReason::Utf8));
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn baseline_outcome_accounts_under_a_live_registry() {
+        use crate::ValidationMode::{Permissive, Strict};
         let metrics = crate::Metrics::new();
         let mut sink = CountSink::default();
-        Fixed.evaluate_metered(b"0123456789", 0, &mut sink, &metrics);
+        digits(Permissive, b"[1, 2]", &mut sink, Some(&metrics));
+        digits(Permissive, b"", &mut sink, Some(&metrics));
+        digits(Strict, b"[1, 2] 3", &mut sink, Some(&metrics));
+        let disabled = crate::Metrics::disabled();
+        digits(Permissive, b"[1]", &mut sink, Some(&disabled));
+        assert_eq!(disabled.snapshot(), crate::MetricsSnapshot::default());
         let s = metrics.snapshot();
         assert_eq!(s.records_evaluated, 1);
-        assert_eq!(s.bytes_evaluated, 10);
-        assert_eq!(s.matches_emitted, 1);
-        assert_eq!(s.words_classified, 0); // engine-specific, not provided
+        assert_eq!(s.matches_emitted, 2);
+        assert_eq!(s.bytes_evaluated, 6);
+        assert_eq!(s.records_failed, 2);
+        assert_eq!(s.bytes_failed, 8);
+        assert_eq!(s.build_ns + s.traverse_ns, s.eval_ns);
     }
 
     #[test]

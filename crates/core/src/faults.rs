@@ -206,16 +206,18 @@ impl<E: crate::Evaluate + ?Sized> crate::Evaluate for PanicInjector<'_, E> {
         "PanicInjector"
     }
 
-    fn evaluate(
+    fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn crate::MatchSink,
+        metrics: Option<&crate::Metrics>,
     ) -> crate::RecordOutcome {
         if (record_idx + 1).is_multiple_of(self.every) {
             panic!("injected panic on record {record_idx}");
         }
-        self.inner.evaluate(record, record_idx, sink)
+        self.inner
+            .evaluate_metered(record, record_idx, sink, metrics)
     }
 }
 

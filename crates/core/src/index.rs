@@ -637,32 +637,6 @@ impl<'a> IndexedJsonSki<'a> {
             stats.skipped_bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
-
-    /// Both [`Evaluate`] entry points: the prebuilt-bitmap pass when the
-    /// index can place the record, a plain pass otherwise, mapped by the
-    /// shared outcome helper (words "classified" on the prebuilt path are
-    /// words served from the index; `classify_ns` is the time the index
-    /// saved, reported as 0).
-    fn evaluate_with(
-        &self,
-        record: &[u8],
-        record_idx: u64,
-        sink: &mut dyn MatchSink,
-        metrics: Option<&crate::Metrics>,
-    ) -> RecordOutcome {
-        let limits = self.engine.config().limits;
-        let mut deliver = |m: crate::Match<'_>| sink.on_match(m.with_record_idx(record_idx));
-        match self.prebuilt_for(record, record_idx) {
-            Some(prebuilt) => stream_outcome(record, &limits, metrics, || {
-                self.engine
-                    .stream_prebuilt(record, prebuilt, &mut deliver)
-                    .inspect(|o| self.count_skip(record, o.words_classified))
-            }),
-            None => stream_outcome(record, &limits, metrics, || {
-                self.engine.stream(record, &mut deliver)
-            }),
-        }
-    }
 }
 
 impl Evaluate for IndexedJsonSki<'_> {
@@ -670,25 +644,28 @@ impl Evaluate for IndexedJsonSki<'_> {
         "JSONSki+index"
     }
 
-    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
-        self.evaluate_with(record, record_idx, sink, None)
-    }
-
+    /// The prebuilt-bitmap pass when the index can place the record, a
+    /// plain pass otherwise, mapped by the shared outcome helper (words
+    /// "classified" on the prebuilt path are words served from the index;
+    /// `classify_ns` is the time the index saved, reported as 0).
     fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn MatchSink,
-        metrics: &crate::Metrics,
+        metrics: Option<&crate::Metrics>,
     ) -> RecordOutcome {
-        self.evaluate_with(record, record_idx, sink, Some(metrics))
+        let limits = self.engine.config().limits;
+        let deliver = |m: crate::Match<'_>| sink.on_match(m.with_record_idx(record_idx));
+        let prebuilt = self.prebuilt_for(record, record_idx);
+        stream_outcome(record, &limits, metrics, || match prebuilt {
+            Some(prebuilt) => self
+                .engine
+                .stream_prebuilt(record, prebuilt, deliver)
+                .inspect(|o| self.count_skip(record, o.words_classified)),
+            None => self.engine.stream(record, deliver),
+        })
     }
-}
-
-// Evaluate requires Sync; all fields are shared references to Sync types.
-#[allow(dead_code)]
-fn assert_sync(v: IndexedJsonSki<'_>) -> impl Sync + '_ {
-    v
 }
 
 #[cfg(test)]

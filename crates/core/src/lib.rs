@@ -73,7 +73,8 @@ pub use checkpoint::{digest_parts, fingerprint, Checkpoint, CheckpointCadence, F
 pub use engine::{EngineConfig, EngineConfigBuilder, JsonSki, StreamOutcome, MAX_DEPTH};
 pub use error::{InvalidReason, StreamError};
 pub use evaluate::{
-    CountSink, EngineError, ErrorPolicy, Evaluate, FnSink, Match, MatchSink, RecordOutcome,
+    baseline_outcome, CountSink, EngineError, ErrorPolicy, Evaluate, FnSink, Match, MatchSink,
+    RecordOutcome, Walk,
 };
 pub use index::{IndexError, IndexStats, IndexedJsonSki, IndexedRecords, StructuralIndex};
 pub use lazy::{ArrayIter, DecodeError, LazyValue, ObjectIter, ValueKind};

@@ -225,6 +225,21 @@ impl MemBudget {
         })
     }
 
+    /// Bytes `tenant` could reserve now: the tighter of the global
+    /// budget's and the tenant cap's room (`usize::MAX` with neither set).
+    /// A snapshot: another reservation may take the room first.
+    pub fn headroom(&self, tenant: Option<&str>) -> usize {
+        let inner = self.inner.lock().expect("no ledger update panics");
+        let room = |cap: usize, used: usize| match cap {
+            0 => usize::MAX,
+            cap => cap.saturating_sub(used),
+        };
+        let tenant_room = tenant.map_or(usize::MAX, |t| {
+            room(self.tenant_cap, *inner.tenants.get(t).unwrap_or(&0))
+        });
+        room(self.total, inner.used).min(tenant_room)
+    }
+
     /// Internal release path shared by permit drop and shrink.
     fn release(&self, tenant: Option<&str>, bytes: usize) {
         if bytes == 0 {
@@ -348,6 +363,24 @@ mod tests {
         let _c = b.try_reserve(Some("bob"), 300).unwrap();
         let _d = b.try_reserve(None, 400).unwrap();
         assert_eq!(b.used(), 1000);
+    }
+
+    #[test]
+    fn headroom_is_the_tighter_limit() {
+        let b = MemBudget::with_tenant_cap(1000, 300);
+        assert_eq!(b.headroom(Some("alice")), 300);
+        assert_eq!(b.headroom(None), 1000);
+        let _a = b.try_reserve(Some("alice"), 200).unwrap();
+        let _n = b.try_reserve(None, 750).unwrap();
+        assert_eq!(b.headroom(Some("alice")), 50, "the global budget binds");
+        assert_eq!(b.headroom(Some("bob")), 50);
+        assert_eq!(b.headroom(None), 50);
+        let b = MemBudget::with_tenant_cap(0, 300);
+        let _a = b.try_reserve(Some("alice"), 100).unwrap();
+        assert_eq!(b.headroom(Some("alice")), 200);
+        assert_eq!(b.headroom(None), usize::MAX);
+        // Asking never counts as a denial.
+        assert_eq!(b.denied_tenant.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -470,18 +470,14 @@ impl Metrics {
         }
     }
 
-    /// Adds structure-building time (bitmap construction for the streaming
-    /// engines; tape/DOM/index construction for the preprocessing ones).
-    pub fn add_build_ns(&self, ns: u64) {
+    /// Adds one evaluation's wall time, `eval_ns`, split into `build_ns`
+    /// of structure building (bitmaps for the streaming engines; the DOM,
+    /// tape or index for the preprocessing ones) and traversal, the rest.
+    pub fn add_eval_split_ns(&self, build_ns: u64, eval_ns: u64) {
         if self.enabled {
-            sat_add(&self.build_ns, ns);
-        }
-    }
-
-    /// Adds traversal time (evaluation excluding structure building).
-    pub fn add_traverse_ns(&self, ns: u64) {
-        if self.enabled {
-            sat_add(&self.traverse_ns, ns);
+            sat_add(&self.build_ns, build_ns);
+            sat_add(&self.traverse_ns, eval_ns.saturating_sub(build_ns));
+            sat_add(&self.eval_ns, eval_ns);
         }
     }
 
@@ -667,9 +663,7 @@ mod tests {
         }
         m.record_fast_forward(&ff);
         m.record_bitmap(9, 4);
-        m.add_eval_ns(30);
-        m.add_build_ns(10);
-        m.add_traverse_ns(20);
+        m.add_eval_split_ns(10, 30);
         m.record_delivered(3, 150);
         m.record_skipped_record();
         m.record_io_retry();

@@ -142,10 +142,17 @@ impl MultiQuery {
         self.run(input, |i, _| counts[i] += 1)?;
         Ok(counts)
     }
+}
 
-    /// Both [`Evaluate`] entry points, through the outcome mapping shared
-    /// with [`JsonSki`](crate::JsonSki).
-    fn evaluate_with(
+/// Each match carries its query's ordinal ([`Match::query`]), so a sink
+/// behind a [`Pipeline`](crate::Pipeline) can tell the queries apart.
+impl Evaluate for MultiQuery {
+    fn name(&self) -> &'static str {
+        "JSONSki+multi"
+    }
+
+    /// Through the outcome mapping shared with [`JsonSki`](crate::JsonSki).
+    fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
@@ -157,28 +164,6 @@ impl MultiQuery {
                 sink.on_match(m.with_record_idx(record_idx).with_query(q))
             })
         })
-    }
-}
-
-/// Each match carries its query's ordinal ([`Match::query`]), so a sink
-/// behind a [`Pipeline`](crate::Pipeline) can tell the queries apart.
-impl Evaluate for MultiQuery {
-    fn name(&self) -> &'static str {
-        "JSONSki+multi"
-    }
-
-    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
-        self.evaluate_with(record, record_idx, sink, None)
-    }
-
-    fn evaluate_metered(
-        &self,
-        record: &[u8],
-        record_idx: u64,
-        sink: &mut dyn MatchSink,
-        metrics: &crate::Metrics,
-    ) -> RecordOutcome {
-        self.evaluate_with(record, record_idx, sink, Some(metrics))
     }
 }
 
@@ -635,8 +620,8 @@ mod tests {
             let (ms, mm) = (crate::Metrics::new(), crate::Metrics::new());
             for (i, r) in records.iter().enumerate() {
                 let mut sink = crate::CountSink::default();
-                let a = single.evaluate_metered(r, i as u64, &mut sink, &ms);
-                let b = multi.evaluate_metered(r, i as u64, &mut sink, &mm);
+                let a = single.evaluate_metered(r, i as u64, &mut sink, Some(&ms));
+                let b = multi.evaluate_metered(r, i as u64, &mut sink, Some(&mm));
                 assert_eq!(a.matches(), b.matches(), "{query} record {i}");
                 assert_eq!(a.is_failed(), b.is_failed(), "{query} record {i}");
             }

@@ -940,12 +940,11 @@ fn evaluate_into(
     // is cleared below, and metrics counters are monotone saturating adds
     // — a torn update is at worst an off-by-one count, never a broken
     // invariant.
-    let outcome = catch_unwind(AssertUnwindSafe(|| match metrics {
-        Some(m) => {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(m) = metrics {
             m.record_worker(worker, record.len() as u64);
-            engine.evaluate_metered(record, idx, staged, m)
         }
-        None => engine.evaluate(record, idx, staged),
+        engine.evaluate_metered(record, idx, staged, metrics)
     }));
     match outcome {
         Ok(RecordOutcome::Failed(e)) => Some(e),
@@ -1494,14 +1493,17 @@ mod tests {
             fn name(&self) -> &'static str {
                 "gauge"
             }
-            fn evaluate(
+            fn evaluate_metered(
                 &self,
                 record: &[u8],
                 record_idx: u64,
                 sink: &mut dyn MatchSink,
+                metrics: Option<&Metrics>,
             ) -> RecordOutcome {
                 self.active.fetch_add(1, Ordering::SeqCst);
-                let out = self.inner.evaluate(record, record_idx, sink);
+                let out = self
+                    .inner
+                    .evaluate_metered(record, record_idx, sink, metrics);
                 self.active.fetch_sub(1, Ordering::SeqCst);
                 out
             }

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use jsonski::{
     digest_parts, CancellationToken, Checkpoint, CheckpointCadence, ChunkedRecords, EngineError,
-    ErrorPolicy, Evaluate, JsonSki, LimitExceeded, Match, MatchSink, Pipeline, PipelineSummary,
-    RecordOutcome, ResourceLimits, SliceRecords,
+    ErrorPolicy, Evaluate, JsonSki, LimitExceeded, Match, MatchSink, Metrics, Pipeline,
+    PipelineSummary, RecordOutcome, ResourceLimits, SliceRecords,
 };
 
 /// Panics on the listed record ordinals, delegating everything else.
@@ -29,11 +29,18 @@ impl Evaluate for PanicOn<'_> {
         "panic-on"
     }
 
-    fn evaluate(&self, record: &[u8], record_idx: u64, sink: &mut dyn MatchSink) -> RecordOutcome {
+    fn evaluate_metered(
+        &self,
+        record: &[u8],
+        record_idx: u64,
+        sink: &mut dyn MatchSink,
+        metrics: Option<&Metrics>,
+    ) -> RecordOutcome {
         if self.at.contains(&record_idx) {
             panic!("injected panic on record {record_idx}");
         }
-        self.inner.evaluate(record, record_idx, sink)
+        self.inner
+            .evaluate_metered(record, record_idx, sink, metrics)
     }
 }
 

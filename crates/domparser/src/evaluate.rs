@@ -1,7 +1,5 @@
 //! [`jsonski::Evaluate`] adapter: a query-bound DOM engine.
 
-use std::ops::ControlFlow;
-
 use jsonpath::{ParsePathError, Path};
 
 use crate::Dom;
@@ -9,10 +7,7 @@ use crate::Dom;
 /// A JSONPath query evaluated by full DOM construction plus tree walking
 /// (the paper's "RapidJSON" baseline), usable wherever
 /// [`jsonski::Evaluate`] is accepted — e.g. in a [`jsonski::Pipeline`].
-///
-/// Each [`evaluate`](jsonski::Evaluate::evaluate) call parses the whole
-/// record first, so the cost includes preprocessing, as in the paper's
-/// measurements.
+/// Each evaluation parses the whole record first, as in the paper.
 #[derive(Clone, Debug)]
 pub struct DomQuery {
     path: Path,
@@ -37,10 +32,8 @@ impl DomQuery {
         Ok(DomQuery::new(query.parse()?))
     }
 
-    /// Sets the input trust level (builder-style). Strict runs the shared
-    /// [`jsonski::validate_record`] pre-pass before parsing so this engine
-    /// rejects exactly the inputs — at the same byte offsets — that the
-    /// streaming engine rejects mid-skip.
+    /// Sets the input trust level (builder-style); Strict adds the shared
+    /// pre-pass of [`jsonski::baseline_outcome`].
     pub fn with_validation(mut self, mode: jsonski::ValidationMode) -> Self {
         self.validation = mode;
         self
@@ -50,15 +43,6 @@ impl DomQuery {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    fn strict_reject(&self, record: &[u8]) -> Option<jsonski::RecordOutcome> {
-        if self.validation != jsonski::ValidationMode::Strict {
-            return None;
-        }
-        jsonski::validate_record(record).map(|(offset, reason)| {
-            jsonski::RecordOutcome::Failed(jsonski::EngineError::Invalid { offset, reason })
-        })
-    }
 }
 
 impl jsonski::Evaluate for DomQuery {
@@ -66,103 +50,34 @@ impl jsonski::Evaluate for DomQuery {
         "RapidJSON"
     }
 
-    fn evaluate(
-        &self,
-        record: &[u8],
-        record_idx: u64,
-        sink: &mut dyn jsonski::MatchSink,
-    ) -> jsonski::RecordOutcome {
-        if let Some(failed) = self.strict_reject(record) {
-            return failed;
-        }
-        // Blank records have no values and thus no matches (the streaming
-        // engines' convention); the DOM parser itself rejects empty input.
-        if record.iter().all(u8::is_ascii_whitespace) {
-            return jsonski::RecordOutcome::Complete { matches: 0 };
-        }
-        let dom = match Dom::parse(record) {
-            Ok(dom) => dom,
-            Err(e) => {
-                return jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                    engine: "RapidJSON",
-                    message: e.to_string(),
-                })
-            }
-        };
-        let mut matches = 0usize;
-        for node in dom.query(&self.path) {
-            let (s, e) = node.span();
-            matches += 1;
-            if let ControlFlow::Break(()) =
-                sink.on_match(jsonski::Match::new(record_idx, record, (s, e)))
-            {
-                return jsonski::RecordOutcome::Stopped { matches };
-            }
-        }
-        jsonski::RecordOutcome::Complete { matches }
-    }
-
-    /// Splits the two-stage cost for the metrics layer: DOM parsing is
-    /// reported as build time, the tree walk as traversal.
+    /// DOM parsing is the build step, the tree walk the traversal.
     fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn jsonski::MatchSink,
-        metrics: &jsonski::Metrics,
+        metrics: Option<&jsonski::Metrics>,
     ) -> jsonski::RecordOutcome {
-        if !metrics.is_enabled() {
-            return self.evaluate(record, record_idx, sink);
-        }
-        if let Some(failed) = self.strict_reject(record) {
-            metrics.record_outcome(record.len(), &failed);
-            return failed;
-        }
-        if record.iter().all(u8::is_ascii_whitespace) {
-            let outcome = jsonski::RecordOutcome::Complete { matches: 0 };
-            metrics.record_outcome(record.len(), &outcome);
-            return outcome;
-        }
-        let sw = metrics.stopwatch();
-        let dom = match Dom::parse(record) {
-            Ok(dom) => dom,
-            Err(e) => {
-                let ns = sw.elapsed_ns();
-                metrics.add_build_ns(ns);
-                metrics.add_eval_ns(ns);
-                let outcome = jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                    engine: "RapidJSON",
-                    message: e.to_string(),
-                });
-                metrics.record_outcome(record.len(), &outcome);
-                return outcome;
-            }
-        };
-        let build_ns = sw.elapsed_ns();
-        let mut matches = 0usize;
-        let mut stopped = false;
-        for node in dom.query(&self.path) {
-            let (s, e) = node.span();
-            matches += 1;
-            if sink
-                .on_match(jsonski::Match::new(record_idx, record, (s, e)))
-                .is_break()
-            {
-                stopped = true;
-                break;
-            }
-        }
-        let total_ns = sw.elapsed_ns();
-        metrics.add_build_ns(build_ns);
-        metrics.add_traverse_ns(total_ns.saturating_sub(build_ns));
-        metrics.add_eval_ns(total_ns);
-        let outcome = if stopped {
-            jsonski::RecordOutcome::Stopped { matches }
-        } else {
-            jsonski::RecordOutcome::Complete { matches }
-        };
-        metrics.record_outcome(record.len(), &outcome);
-        outcome
+        jsonski::baseline_outcome(
+            self.name(),
+            self.validation,
+            record,
+            record_idx,
+            sink,
+            metrics,
+            // Blank records have no values and thus no matches (the
+            // streaming engines' convention); the DOM parser itself
+            // rejects empty input.
+            || {
+                let blank = record.iter().all(u8::is_ascii_whitespace);
+                (!blank).then(|| Dom::parse(record)).transpose()
+            },
+            |dom, out| {
+                let nodes = dom.iter().flat_map(|dom| dom.query(&self.path));
+                out.emit_spans(nodes.map(|node| node.span()));
+                Ok(())
+            },
+        )
     }
 }
 

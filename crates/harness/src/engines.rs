@@ -1,13 +1,15 @@
 //! The engine abstraction for the five systems under test (paper Table 2).
 //!
-//! Since the unified sink-based evaluation API, the abstraction IS
-//! [`jsonski::Evaluate`] (re-exported here as [`Engine`]): every engine
-//! crate implements it natively, errors are the typed
-//! [`jsonski::EngineError`] instead of strings, and `count` is a default
-//! method derived from the sink-based `evaluate`. This module keeps the
-//! [`EngineKind`] enumeration, the [`all_engines`] constructor, and the
-//! harness-only [`ParallelPisonEngine`] configuration (the paper's
-//! "Pison(16)" bar).
+//! The abstraction is [`jsonski::Evaluate`] (re-exported here as
+//! [`Engine`]): every engine crate implements its one required method,
+//! `evaluate_metered`, natively (the four baselines through
+//! [`jsonski::baseline_outcome`]), errors are the typed
+//! [`jsonski::EngineError`], and `evaluate` and `count` are provided on
+//! top of it. This module keeps the [`EngineKind`] enumeration, the
+//! [`all_engines`] constructor, and the harness-only
+//! [`ParallelPisonEngine`] configuration (the paper's "Pison(16)" bar).
+
+use std::convert::Infallible;
 
 use jsonpath::Path;
 
@@ -29,17 +31,6 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Display name used in the result tables (matching the paper's).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::JpStream => "JPStream",
-            EngineKind::RapidJsonClass => "RapidJSON",
-            EngineKind::SimdJsonClass => "simdjson",
-            EngineKind::PisonClass => "Pison",
-            EngineKind::JsonSki => "JSONSki",
-        }
-    }
-
     /// All five engines in the paper's presentation order.
     pub fn all() -> [EngineKind; 5] {
         [
@@ -93,28 +84,32 @@ impl ParallelPisonEngine {
 
 impl Engine for ParallelPisonEngine {
     fn name(&self) -> &'static str {
-        EngineKind::PisonClass.name()
+        "Pison"
     }
 
-    fn evaluate(
+    /// Parallel index construction is the build step, the index-guided
+    /// query loop the traversal.
+    fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn jsonski::MatchSink,
+        metrics: Option<&jsonski::Metrics>,
     ) -> jsonski::RecordOutcome {
         let levels = self.path.len().max(1);
-        let index = pison::build_parallel(record, levels, self.threads);
-        let mut matches = 0usize;
-        for m in index.query(&self.path) {
-            matches += 1;
-            if sink
-                .on_match(jsonski::Match::from_slice(record_idx, record, m))
-                .is_break()
-            {
-                return jsonski::RecordOutcome::Stopped { matches };
-            }
-        }
-        jsonski::RecordOutcome::Complete { matches }
+        jsonski::baseline_outcome(
+            self.name(),
+            jsonski::ValidationMode::Permissive,
+            record,
+            record_idx,
+            sink,
+            metrics,
+            || Ok::<_, Infallible>(pison::build_parallel(record, levels, self.threads)),
+            |index, out| {
+                out.emit_slices(index.query(&self.path));
+                Ok(())
+            },
+        )
     }
 }
 

@@ -141,23 +141,11 @@ impl SegmentedRunner {
         let index = pison::build_parallel(array, 1, threads);
         let elements = split_elements(&index, array);
         // 3. Stream the selected elements in parallel with the residual.
-        type Residual = Box<dyn Fn(&[u8]) -> Result<usize, EngineError> + Sync>;
-        let engine: Residual = match self.engine {
-            SegmentEngine::JsonSki => {
-                let ski = jsonski::JsonSki::new(self.residual.clone());
-                Box::new(move |rec: &[u8]| ski.count(rec).map_err(EngineError::Stream))
-            }
-            SegmentEngine::JpStream => {
-                let jp = jpstream::JpStream::new(self.residual.clone());
-                Box::new(move |rec: &[u8]| {
-                    jp.count(rec).map_err(|e| EngineError::Engine {
-                        engine: "JPStream",
-                        message: e.to_string(),
-                    })
-                })
-            }
+        let engine: Box<dyn Engine> = match self.engine {
+            SegmentEngine::JsonSki => Box::new(jsonski::JsonSki::new(self.residual.clone())),
+            SegmentEngine::JpStream => Box::new(jpstream::JpStream::new(self.residual.clone())),
         };
-        let engine = &engine;
+        let engine = engine.as_ref();
         let selected: Vec<&[u8]> = elements
             .iter()
             .enumerate()
@@ -177,7 +165,7 @@ impl SegmentedRunner {
                             if i >= selected.len() {
                                 return Ok(local);
                             }
-                            local += engine(selected[i])?;
+                            local += engine.count(selected[i])?;
                         }
                     })
                 })

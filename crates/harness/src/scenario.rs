@@ -427,7 +427,7 @@ pub fn table6() {
         let metrics = jsonski::Metrics::new();
         let mut sink = jsonski::CountSink::default();
         let outcome =
-            jsonski::Evaluate::evaluate_metered(&ski, data.bytes(), 0, &mut sink, &metrics);
+            jsonski::Evaluate::evaluate_metered(&ski, data.bytes(), 0, &mut sink, Some(&metrics));
         assert!(
             matches!(outcome, jsonski::RecordOutcome::Complete { .. }),
             "{}: generated record failed to evaluate: {outcome:?}",

@@ -82,11 +82,9 @@ impl JpStream {
         Ok(JpStream::new(query.parse()?))
     }
 
-    /// Sets the input trust level (builder-style). Strict runs the shared
-    /// [`jsonski::validate_record`] pre-pass before the detailed scan so
-    /// this engine rejects exactly the inputs — at the same byte offsets —
-    /// that the fast-forwarding engine rejects mid-skip. Applies to the
-    /// [`jsonski::Evaluate`] entry point; the raw [`JpStream::stream`] API
+    /// Sets the input trust level (builder-style); Strict adds the shared
+    /// pre-pass of [`jsonski::baseline_outcome`] to the
+    /// [`jsonski::Evaluate`] entry point. The raw [`JpStream::stream`] API
     /// keeps its historical character-level checks only.
     pub fn with_validation(mut self, mode: jsonski::ValidationMode) -> Self {
         self.validation = mode;
@@ -96,15 +94,6 @@ impl JpStream {
     /// The compiled path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    fn strict_reject(&self, record: &[u8]) -> Option<jsonski::RecordOutcome> {
-        if self.validation != jsonski::ValidationMode::Strict {
-            return None;
-        }
-        jsonski::validate_record(record).map(|(offset, reason)| {
-            jsonski::RecordOutcome::Failed(jsonski::EngineError::Invalid { offset, reason })
-        })
     }
 
     /// Streams one record with early-exit support: `sink` receives each
@@ -514,46 +503,25 @@ impl jsonski::Evaluate for JpStream {
         "JPStream"
     }
 
-    fn evaluate(
-        &self,
-        record: &[u8],
-        record_idx: u64,
-        sink: &mut dyn jsonski::MatchSink,
-    ) -> jsonski::RecordOutcome {
-        if let Some(failed) = self.strict_reject(record) {
-            return failed;
-        }
-        match self.stream(record, |m| {
-            sink.on_match(jsonski::Match::from_slice(record_idx, record, m))
-        }) {
-            Ok(o) if o.stopped => jsonski::RecordOutcome::Stopped { matches: o.matches },
-            Ok(o) => jsonski::RecordOutcome::Complete { matches: o.matches },
-            Err(e) => jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                engine: "JPStream",
-                message: e.to_string(),
-            }),
-        }
-    }
-
-    /// JPStream is a pure streaming engine with no preprocessing stage:
-    /// all evaluation time is reported as traversal, none as build.
+    /// JPStream is a pure streaming engine with no build step: all its
+    /// time outside the Strict pre-pass is traversal.
     fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn jsonski::MatchSink,
-        metrics: &jsonski::Metrics,
+        metrics: Option<&jsonski::Metrics>,
     ) -> jsonski::RecordOutcome {
-        if !metrics.is_enabled() {
-            return self.evaluate(record, record_idx, sink);
-        }
-        let sw = metrics.stopwatch();
-        let outcome = self.evaluate(record, record_idx, sink);
-        let ns = sw.elapsed_ns();
-        metrics.add_traverse_ns(ns);
-        metrics.add_eval_ns(ns);
-        metrics.record_outcome(record.len(), &outcome);
-        outcome
+        jsonski::baseline_outcome(
+            self.name(),
+            self.validation,
+            record,
+            record_idx,
+            sink,
+            metrics,
+            || Ok(()),
+            |(), out| self.stream(record, |m| out.emit_slice(m)).map(drop),
+        )
     }
 }
 

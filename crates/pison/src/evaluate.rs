@@ -1,7 +1,5 @@
 //! [`jsonski::Evaluate`] adapter: a query-bound leveled-index engine.
 
-use std::ops::ControlFlow;
-
 use jsonpath::{ParsePathError, Path};
 
 use crate::validate::validate;
@@ -12,11 +10,10 @@ use crate::LeveledIndex;
 /// [`jsonski::Evaluate`] is accepted — e.g. in a [`jsonski::Pipeline`].
 ///
 /// Because the raw leveled index assumes well-formed input, each
-/// [`evaluate`](jsonski::Evaluate::evaluate) call first runs an explicit
-/// structural [validation pass](crate::validate) so malformed records are
-/// *reported* instead of yielding garbage — a documented concession for the
-/// unified API (the benchmarks keep using the unvalidated
-/// [`LeveledIndex`] path).
+/// evaluation first runs an explicit structural [validation
+/// pass](crate::validate) so malformed records are *reported* instead of
+/// yielding garbage — a documented concession for the unified API (the
+/// benchmarks keep using the unvalidated [`LeveledIndex`] path).
 #[derive(Clone, Debug)]
 pub struct PisonQuery {
     path: Path,
@@ -41,11 +38,9 @@ impl PisonQuery {
         Ok(PisonQuery::new(query.parse()?))
     }
 
-    /// Sets the input trust level (builder-style). Strict runs the shared
-    /// [`jsonski::validate_record`] pre-pass (in addition to the structural
-    /// [validation pass](crate::validate) this engine always performs) so
-    /// this engine rejects exactly the inputs — at the same byte offsets —
-    /// that the streaming engine rejects mid-skip.
+    /// Sets the input trust level (builder-style); Strict adds the shared
+    /// pre-pass of [`jsonski::baseline_outcome`] before the structural
+    /// [validation pass](crate::validate) this engine always performs.
     pub fn with_validation(mut self, mode: jsonski::ValidationMode) -> Self {
         self.validation = mode;
         self
@@ -55,15 +50,6 @@ impl PisonQuery {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    fn strict_reject(&self, record: &[u8]) -> Option<jsonski::RecordOutcome> {
-        if self.validation != jsonski::ValidationMode::Strict {
-            return None;
-        }
-        jsonski::validate_record(record).map(|(offset, reason)| {
-            jsonski::RecordOutcome::Failed(jsonski::EngineError::Invalid { offset, reason })
-        })
-    }
 }
 
 impl jsonski::Evaluate for PisonQuery {
@@ -71,88 +57,32 @@ impl jsonski::Evaluate for PisonQuery {
         "Pison"
     }
 
-    fn evaluate(
-        &self,
-        record: &[u8],
-        record_idx: u64,
-        sink: &mut dyn jsonski::MatchSink,
-    ) -> jsonski::RecordOutcome {
-        if let Some(failed) = self.strict_reject(record) {
-            return failed;
-        }
-        if let Err(e) = validate(record) {
-            return jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                engine: "Pison",
-                message: e.to_string(),
-            });
-        }
-        let index = LeveledIndex::build(record, LeveledIndex::levels_for(record, &self.path));
-        let mut matches = 0usize;
-        for m in index.query(&self.path) {
-            matches += 1;
-            if let ControlFlow::Break(()) =
-                sink.on_match(jsonski::Match::from_slice(record_idx, record, m))
-            {
-                return jsonski::RecordOutcome::Stopped { matches };
-            }
-        }
-        jsonski::RecordOutcome::Complete { matches }
-    }
-
-    /// Splits the two-stage cost for the metrics layer: validation plus
-    /// leveled-index construction is reported as build time, the
-    /// index-guided query loop as traversal.
+    /// Validation plus leveled-index construction is the build step, the
+    /// index-guided query loop the traversal.
     fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn jsonski::MatchSink,
-        metrics: &jsonski::Metrics,
+        metrics: Option<&jsonski::Metrics>,
     ) -> jsonski::RecordOutcome {
-        if !metrics.is_enabled() {
-            return self.evaluate(record, record_idx, sink);
-        }
-        if let Some(failed) = self.strict_reject(record) {
-            metrics.record_outcome(record.len(), &failed);
-            return failed;
-        }
-        let sw = metrics.stopwatch();
-        if let Err(e) = validate(record) {
-            let ns = sw.elapsed_ns();
-            metrics.add_build_ns(ns);
-            metrics.add_eval_ns(ns);
-            let outcome = jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                engine: "Pison",
-                message: e.to_string(),
-            });
-            metrics.record_outcome(record.len(), &outcome);
-            return outcome;
-        }
-        let index = LeveledIndex::build(record, LeveledIndex::levels_for(record, &self.path));
-        let build_ns = sw.elapsed_ns();
-        let mut matches = 0usize;
-        let mut stopped = false;
-        for m in index.query(&self.path) {
-            matches += 1;
-            if sink
-                .on_match(jsonski::Match::from_slice(record_idx, record, m))
-                .is_break()
-            {
-                stopped = true;
-                break;
-            }
-        }
-        let total_ns = sw.elapsed_ns();
-        metrics.add_build_ns(build_ns);
-        metrics.add_traverse_ns(total_ns.saturating_sub(build_ns));
-        metrics.add_eval_ns(total_ns);
-        let outcome = if stopped {
-            jsonski::RecordOutcome::Stopped { matches }
-        } else {
-            jsonski::RecordOutcome::Complete { matches }
-        };
-        metrics.record_outcome(record.len(), &outcome);
-        outcome
+        jsonski::baseline_outcome(
+            self.name(),
+            self.validation,
+            record,
+            record_idx,
+            sink,
+            metrics,
+            || {
+                validate(record).map(|()| {
+                    LeveledIndex::build(record, LeveledIndex::levels_for(record, &self.path))
+                })
+            },
+            |index, out| {
+                out.emit_slices(index.query(&self.path));
+                Ok(())
+            },
+        )
     }
 }
 

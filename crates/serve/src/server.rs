@@ -384,18 +384,20 @@ fn relieve_memory(shared: &Shared) -> usize {
     n
 }
 
-/// Reserves `bytes`, retrying once after eviction on denial.
+/// Reserves `bytes`, retrying once after eviction when the global budget
+/// refused. The evictable residents are charged to the global ledger
+/// only, so evicting them cannot make room under a tenant cap.
 fn reserve_with_relief(
     shared: &Shared,
     tenant: Option<&str>,
     bytes: usize,
 ) -> Result<MemPermit, MemDenied> {
     match shared.budget.try_reserve(tenant, bytes) {
-        Ok(p) => Ok(p),
-        Err(_) => {
+        Err(MemDenied { tenant: None, .. }) => {
             relieve_memory(shared);
             shared.budget.try_reserve(tenant, bytes)
         }
+        reserved => reserved,
     }
 }
 
@@ -446,37 +448,39 @@ impl<'a> ChunkSink<'a> {
         }
     }
 
-    /// Grows the buffer charge to cover `buf`, evicting residents on
-    /// denial. Prefers reserving a whole [`CHARGE_STEP`] ahead (so a
-    /// match-per-reserve never happens) but falls back to the exact
-    /// shortfall — a small response must fit under a small tenant cap.
-    /// Returns false when the budget refuses even after relief.
+    /// Grows the buffer charge to cover `buf`. Reserves a whole
+    /// [`CHARGE_STEP`] ahead (so a match-per-reserve never happens) when
+    /// the ledger has room for one, and the exact shortfall otherwise — a
+    /// small response must fit under a small tenant cap, and a step that
+    /// cannot fit is never asked for, so it never counts as a denial. A
+    /// global-budget refusal evicts residents and retries once, like
+    /// [`reserve_with_relief`]. Returns false when the budget refuses.
     fn ensure_charged(&mut self) -> bool {
         if self.buf.len() <= self.charged {
             return true;
         }
         let need = self.buf.len() - self.charged;
-        let want = need.max(CHARGE_STEP);
-        for (attempt, extra) in [want, need, need].into_iter().enumerate() {
-            if attempt == 2 {
-                relieve_memory(self.shared);
-            }
-            let grown = match &mut self.permit {
-                Some(p) => p.grow(extra).is_ok(),
-                None => match self.shared.budget.try_reserve(Some(self.tenant), extra) {
-                    Ok(p) => {
-                        self.permit = Some(p);
-                        true
-                    }
-                    Err(_) => false,
-                },
-            };
-            if grown {
-                self.charged += extra;
-                return true;
-            }
+        let step = need.max(CHARGE_STEP);
+        if self.shared.budget.headroom(Some(self.tenant)) >= step && self.grow(step).is_ok() {
+            return true;
         }
-        false
+        match self.grow(need) {
+            Err(MemDenied { tenant: None, .. }) => {
+                relieve_memory(self.shared);
+                self.grow(need).is_ok()
+            }
+            grown => grown.is_ok(),
+        }
+    }
+
+    /// Adds `extra` bytes to the buffer charge.
+    fn grow(&mut self, extra: usize) -> Result<(), MemDenied> {
+        match &mut self.permit {
+            Some(p) => p.grow(extra)?,
+            None => self.permit = Some(self.shared.budget.try_reserve(Some(self.tenant), extra)?),
+        }
+        self.charged += extra;
+        Ok(())
     }
 
     /// Sends the buffered bytes as one chunk, transferring their memory
@@ -1028,7 +1032,7 @@ fn drain_until_done(rx: &mpsc::Receiver<StreamMsg>) -> Option<WorkResult> {
 /// → deadline watchdog → response write(s). The tenant permit (for
 /// admitted requests) is held until every response frame is written, so
 /// a slow-reading client occupies its own quota, not the fleet's.
-fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(), WriteClose> {
+fn handle_query(mut req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(), WriteClose> {
     if shared.draining.load(Ordering::SeqCst) {
         ServeStats::bump(&shared.stats.draining_rejects);
         let frame = encode_response(
@@ -1086,7 +1090,10 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
                 }
             }
         };
-        (EvalInput::Slice(req.body.clone(), body_permit), None)
+        (
+            EvalInput::Slice(std::mem::take(&mut req.body), body_permit),
+            None,
+        )
     } else {
         let resolved = match &shared.corpus {
             Some(store) => store

@@ -308,6 +308,68 @@ fn tenant_share_sheds_only_the_hog() {
     handle.join().unwrap().unwrap();
 }
 
+/// A tenant-cap refusal evicts nothing: the cache and resident indexes
+/// are charged to the global ledger only, so evicting them cannot make
+/// room under a tenant cap.
+#[test]
+fn tenant_cap_refusal_keeps_residents() {
+    let dir = scratch("tenant-relief");
+    let corpus = ndjson(1000); // ~100 KB, over the 64 KB tenant share
+    std::fs::write(dir.join("corpora/c.ndjson"), &corpus).unwrap();
+    let config = ServeConfig {
+        corpus_dir: Some(dir.join("corpora")),
+        memory_budget: 8 * 1024 * 1024,
+        tenant_memory_budget: 64 * 1024,
+        chunk_bytes: 8 * 1024,
+        metrics_endpoint: true,
+        ..ServeConfig::default()
+    };
+    let (addr, token, handle) = start(config);
+    let mut c = Client::connect_tcp(&addr).unwrap();
+    for q in [QUERY, "$.id"] {
+        assert_eq!(c.query("warm", "t", q, None, &ndjson(5)).unwrap().code, 200);
+    }
+    assert_eq!(scrape_counter(&addr, "cache_entries"), 2);
+    // The tenant cap refuses the resident corpus read; the query falls
+    // back to streaming the file through a chunk-sized buffer.
+    let resp = c.query_corpus("c", "t", QUERY, "c.ndjson", None).unwrap();
+    assert_eq!(resp.code, 200, "{:?}", resp.reason);
+    assert_eq!(resp.body, serial_reference(QUERY, &corpus));
+    assert_eq!(scrape_counter(&addr, "mem_corpus_stream_fallbacks"), 1);
+    assert!(scrape_counter(&addr, "mem_denied_tenant") >= 1);
+    assert_eq!(scrape_counter(&addr, "mem_evictions"), 0);
+    assert_eq!(scrape_counter(&addr, "cache_entries"), 2);
+    token.cancel();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A response that fits the tenant share is charged without a single
+/// refusal: the server asks for a whole charge step only when the share
+/// has room for it.
+#[test]
+fn fitting_response_under_a_small_share_counts_no_denial() {
+    let config = ServeConfig {
+        memory_budget: 8 * 1024 * 1024,
+        tenant_memory_budget: 64 * 1024,
+        metrics_endpoint: true,
+        ..ServeConfig::default()
+    };
+    let (addr, token, handle) = start(config);
+    let body: Vec<u8> = (0..50)
+        .flat_map(|i| format!("{{\"id\": {i}, \"pad\": \"{:=>16}\"}}\n", "").into_bytes())
+        .collect();
+    let mut c = Client::connect_tcp(&addr).unwrap();
+    let resp = c.query("q", "t", "$.id", None, &body).unwrap();
+    assert_eq!(resp.code, 200, "{:?}", resp.reason);
+    assert_eq!(resp.body, serial_reference("$.id", &body));
+    assert_eq!(resp.body.split(|&b| b == b'\n').count() - 1, 50);
+    assert_eq!(scrape_counter(&addr, "mem_denied_tenant"), 0);
+    assert_eq!(scrape_counter(&addr, "mem_denied_global"), 0);
+    token.cancel();
+    handle.join().unwrap().unwrap();
+}
+
 /// The ladder's first rung: under pressure the server evicts compiled
 /// queries and resident corpora/indexes *before* shedding, and the
 /// request that triggered the eviction succeeds.

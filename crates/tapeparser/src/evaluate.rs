@@ -1,7 +1,5 @@
 //! [`jsonski::Evaluate`] adapter: a query-bound tape engine.
 
-use std::ops::ControlFlow;
-
 use jsonpath::{ParsePathError, Path};
 
 use crate::Tape;
@@ -9,10 +7,7 @@ use crate::Tape;
 /// A JSONPath query evaluated by two-stage tape construction plus on-tape
 /// traversal (the paper's "simdjson" baseline), usable wherever
 /// [`jsonski::Evaluate`] is accepted — e.g. in a [`jsonski::Pipeline`].
-///
-/// Each [`evaluate`](jsonski::Evaluate::evaluate) call builds the whole
-/// tape first, so the cost includes preprocessing, as in the paper's
-/// measurements.
+/// Each evaluation builds the whole tape first, as in the paper.
 #[derive(Clone, Debug)]
 pub struct TapeQuery {
     path: Path,
@@ -37,10 +32,8 @@ impl TapeQuery {
         Ok(TapeQuery::new(query.parse()?))
     }
 
-    /// Sets the input trust level (builder-style). Strict runs the shared
-    /// [`jsonski::validate_record`] pre-pass before tape construction so
-    /// this engine rejects exactly the inputs — at the same byte offsets —
-    /// that the streaming engine rejects mid-skip.
+    /// Sets the input trust level (builder-style); Strict adds the shared
+    /// pre-pass of [`jsonski::baseline_outcome`].
     pub fn with_validation(mut self, mode: jsonski::ValidationMode) -> Self {
         self.validation = mode;
         self
@@ -50,15 +43,6 @@ impl TapeQuery {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    fn strict_reject(&self, record: &[u8]) -> Option<jsonski::RecordOutcome> {
-        if self.validation != jsonski::ValidationMode::Strict {
-            return None;
-        }
-        jsonski::validate_record(record).map(|(offset, reason)| {
-            jsonski::RecordOutcome::Failed(jsonski::EngineError::Invalid { offset, reason })
-        })
-    }
 }
 
 impl jsonski::Evaluate for TapeQuery {
@@ -66,91 +50,28 @@ impl jsonski::Evaluate for TapeQuery {
         "simdjson"
     }
 
-    fn evaluate(
-        &self,
-        record: &[u8],
-        record_idx: u64,
-        sink: &mut dyn jsonski::MatchSink,
-    ) -> jsonski::RecordOutcome {
-        if let Some(failed) = self.strict_reject(record) {
-            return failed;
-        }
-        let tape = match Tape::build(record) {
-            Ok(tape) => tape,
-            Err(e) => {
-                return jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                    engine: "simdjson",
-                    message: e.to_string(),
-                })
-            }
-        };
-        let mut matches = 0usize;
-        for m in tape.query(&self.path) {
-            matches += 1;
-            if let ControlFlow::Break(()) =
-                sink.on_match(jsonski::Match::from_slice(record_idx, record, m))
-            {
-                return jsonski::RecordOutcome::Stopped { matches };
-            }
-        }
-        jsonski::RecordOutcome::Complete { matches }
-    }
-
-    /// Splits the two-stage cost for the metrics layer: tape construction
-    /// is reported as build time, the on-tape query loop as traversal.
+    /// Tape construction is the build step, the on-tape query loop the
+    /// traversal.
     fn evaluate_metered(
         &self,
         record: &[u8],
         record_idx: u64,
         sink: &mut dyn jsonski::MatchSink,
-        metrics: &jsonski::Metrics,
+        metrics: Option<&jsonski::Metrics>,
     ) -> jsonski::RecordOutcome {
-        if !metrics.is_enabled() {
-            return self.evaluate(record, record_idx, sink);
-        }
-        if let Some(failed) = self.strict_reject(record) {
-            metrics.record_outcome(record.len(), &failed);
-            return failed;
-        }
-        let sw = metrics.stopwatch();
-        let tape = match Tape::build(record) {
-            Ok(tape) => tape,
-            Err(e) => {
-                let ns = sw.elapsed_ns();
-                metrics.add_build_ns(ns);
-                metrics.add_eval_ns(ns);
-                let outcome = jsonski::RecordOutcome::Failed(jsonski::EngineError::Engine {
-                    engine: "simdjson",
-                    message: e.to_string(),
-                });
-                metrics.record_outcome(record.len(), &outcome);
-                return outcome;
-            }
-        };
-        let build_ns = sw.elapsed_ns();
-        let mut matches = 0usize;
-        let mut stopped = false;
-        for m in tape.query(&self.path) {
-            matches += 1;
-            if sink
-                .on_match(jsonski::Match::from_slice(record_idx, record, m))
-                .is_break()
-            {
-                stopped = true;
-                break;
-            }
-        }
-        let total_ns = sw.elapsed_ns();
-        metrics.add_build_ns(build_ns);
-        metrics.add_traverse_ns(total_ns.saturating_sub(build_ns));
-        metrics.add_eval_ns(total_ns);
-        let outcome = if stopped {
-            jsonski::RecordOutcome::Stopped { matches }
-        } else {
-            jsonski::RecordOutcome::Complete { matches }
-        };
-        metrics.record_outcome(record.len(), &outcome);
-        outcome
+        jsonski::baseline_outcome(
+            self.name(),
+            self.validation,
+            record,
+            record_idx,
+            sink,
+            metrics,
+            || Tape::build(record),
+            |tape, out| {
+                out.emit_slices(tape.query(&self.path));
+                Ok(())
+            },
+        )
     }
 }
 

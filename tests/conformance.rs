@@ -13,9 +13,10 @@ use std::ops::ControlFlow;
 
 use jsonski_repro::datagen::{Dataset, GenConfig};
 use jsonski_repro::jsonpath::Path;
+use jsonski_repro::jsonski::fuzz::{inject, FAULT_CLASSES};
 use jsonski_repro::jsonski::{
     EngineConfig, EngineError, Evaluate, InvalidReason, Kernel, Match, MatchSink, Metrics,
-    RecordOutcome, ValidationMode,
+    MultiQuery, RecordOutcome, ValidationMode,
 };
 
 /// One observed match: record index, normalized in-record span, and the
@@ -516,42 +517,124 @@ fn extended_grammar_is_kernel_invariant() {
     }
 }
 
+/// Runs `records` (numbered from `first_idx`) through one engine, with
+/// `metrics` attached or through plain `evaluate`, tolerating failures:
+/// the delivered match stream (a failed record's partial matches
+/// included) and the outcomes.
+fn observe(
+    engine: &dyn Evaluate,
+    records: &[&[u8]],
+    first_idx: usize,
+    metrics: Option<&Metrics>,
+) -> (Vec<Observed>, Vec<RecordOutcome>) {
+    let mut sink = Recorder::default();
+    let outcomes = (records.iter().enumerate())
+        .map(|(i, record)| {
+            let idx = (first_idx + i) as u64;
+            match metrics {
+                Some(m) => engine.evaluate_metered(record, idx, &mut sink, Some(m)),
+                None => engine.evaluate(record, idx, &mut sink),
+            }
+        })
+        .collect();
+    (sink.0, outcomes)
+}
+
 #[test]
 fn instrumented_evaluation_is_conformant() {
     // `evaluate_metered` must produce the exact same match stream as plain
-    // `evaluate` for every engine, and the evaluated-side counters must
-    // account for every record and match it saw.
+    // `evaluate` for every engine, and every engine (plus a one-query
+    // MultiQuery) must account for the same records, bytes and matches:
+    // on clean records, and on records damaged with each fuzz fault
+    // class, in both validation modes. Permissive engines legitimately
+    // disagree on invalid UTF-8 and trailing garbage (the full parsers
+    // see them, the streaming engines skip past), so those two classes
+    // are checked in Strict only.
     let cfg = GenConfig {
         target_bytes: 16 * 1024,
         seed: 7,
     };
+    let permissive_detectable = |class: InvalidReason| {
+        !matches!(class, InvalidReason::Utf8 | InvalidReason::TrailingGarbage)
+    };
     for ds in Dataset::all() {
         let data = ds.generate_small(&cfg);
-        let records: Vec<&[u8]> = data.iter().collect();
-        let total_bytes: u64 = records.iter().map(|r| r.len() as u64).sum();
+        let clean: Vec<&[u8]> = data.iter().collect();
+        let damaged: Vec<(InvalidReason, Vec<u8>)> = FAULT_CLASSES
+            .iter()
+            .flat_map(|&class| {
+                let sources = clean.iter().take(3).enumerate();
+                sources.filter_map(move |(i, r)| Some((class, inject(r, class, i as u64)?.0)))
+            })
+            .collect();
         for (id, query) in ds.queries() {
             if ds.large_only_queries().contains(&id) {
                 continue;
             }
             let path: Path = query.parse().unwrap();
-            for engine in engines(&path) {
-                let plain = match_stream(engine.as_ref(), &records, id);
-                let metrics = Metrics::new();
-                let mut sink = Recorder::default();
-                for (i, record) in records.iter().enumerate() {
-                    let outcome = engine.evaluate_metered(record, i as u64, &mut sink, &metrics);
+            for strict in [false, true] {
+                let bad: Vec<&[u8]> = (damaged.iter())
+                    .filter(|(class, _)| strict || permissive_detectable(*class))
+                    .map(|(_, r)| r.as_slice())
+                    .collect();
+                let mut engines = if strict {
+                    strict_engines(&path)
+                } else {
+                    engines(&path)
+                };
+                let mode = match strict {
+                    true => ValidationMode::Strict,
+                    false => ValidationMode::Permissive,
+                };
+                let config = EngineConfig::builder().validation(mode).build();
+                engines.push(Box::new(
+                    MultiQuery::new(vec![path.clone()]).with_config(config),
+                ));
+                let mut reference = None;
+                for engine in &engines {
+                    let ctx = format!("{id} strict={strict}: {}", engine.name());
+                    let metrics = Metrics::new();
+                    let (clean_seen, outcomes) =
+                        observe(engine.as_ref(), &clean, 0, Some(&metrics));
                     assert!(
-                        matches!(outcome, RecordOutcome::Complete { .. }),
-                        "{id}: {} metered outcome {outcome:?}",
-                        engine.name()
+                        outcomes
+                            .iter()
+                            .all(|o| matches!(o, RecordOutcome::Complete { .. })),
+                        "{ctx}: a clean record failed"
                     );
+                    let snap = metrics.snapshot();
+                    assert_eq!(snap.records_evaluated, clean.len() as u64, "{ctx}");
+                    assert_eq!(snap.matches_emitted, clean_seen.len() as u64, "{ctx}");
+                    assert_eq!(
+                        snap.bytes_evaluated,
+                        clean.iter().map(|r| r.len() as u64).sum::<u64>(),
+                        "{ctx}"
+                    );
+                    if cfg!(feature = "metrics") {
+                        assert_eq!(snap.build_ns + snap.traverse_ns, snap.eval_ns, "{ctx}");
+                        if ["RapidJSON", "simdjson", "Pison"].contains(&engine.name()) {
+                            assert!(snap.build_ns > 0, "{ctx}: no build time");
+                        }
+                    }
+                    let (bad_seen, _) = observe(engine.as_ref(), &bad, clean.len(), Some(&metrics));
+                    let (plain_clean, _) = observe(engine.as_ref(), &clean, 0, None);
+                    let (plain_bad, _) = observe(engine.as_ref(), &bad, clean.len(), None);
+                    assert_eq!(clean_seen, plain_clean, "{ctx}: metered diverges");
+                    assert_eq!(bad_seen, plain_bad, "{ctx}: metered diverges on damage");
+                    let snap = metrics.snapshot();
+                    let counts = (
+                        snap.records_evaluated,
+                        snap.records_failed,
+                        snap.bytes_failed,
+                        snap.matches_emitted,
+                    );
+                    assert!(snap.records_failed > 0, "{ctx}: no damage detected");
+                    assert!(!strict || snap.records_failed == bad.len() as u64, "{ctx}");
+                    match &reference {
+                        None => reference = Some(counts),
+                        Some(want) => assert_eq!(&counts, want, "{ctx}: accounting diverges"),
+                    }
                 }
-                assert_eq!(sink.0, plain, "{id}: {} metered diverges", engine.name());
-                let snap = metrics.snapshot();
-                assert_eq!(snap.records_evaluated, records.len() as u64, "{id}");
-                assert_eq!(snap.matches_emitted, plain.len() as u64, "{id}");
-                assert_eq!(snap.bytes_evaluated, total_bytes, "{id}");
-                assert_eq!(snap.records_failed, 0, "{id}");
             }
         }
     }
